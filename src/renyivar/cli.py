@@ -158,25 +158,33 @@ def _require(problem: dict, field: str) -> Any:
     return problem[field]
 
 
-def _as_vector(raw: Any, field: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        raise InputValidationError(f"field '{field}' must be a flat list of numbers")
+def _as_array(raw: Any, field: str, ndim: int, shape: str) -> np.ndarray:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # non-numeric, ragged, beyond float range
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise InputValidationError(f"field '{field}' must be {shape}")
     return arr
+
+
+def _as_vector(raw: Any, field: str) -> np.ndarray:
+    return _as_array(raw, field, 1, "a flat list of numbers")
 
 
 def _as_matrix(raw: Any, field: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2:
-        raise InputValidationError(f"field '{field}' must be a list of equal-length rows")
-    return arr
+    return _as_array(raw, field, 2, "a list of equal-length rows of numbers")
 
 
 def _as_alpha(problem: dict) -> Alpha:
     raw = _require(problem, "alpha")
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise InputValidationError("field 'alpha' must be a number")
-    return Alpha(float(raw))
+    try:
+        value = float(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise InputValidationError("field 'alpha' is beyond the floating-point range") from None
+    return Alpha(value)
 
 
 def _as_dist(problem: dict, field: str) -> Dist:
@@ -487,10 +495,12 @@ def main(argv: list[str] | None = None) -> int:
             raise InputValidationError(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+            raise InputValidationError(f"invalid JSON: {exc}") from exc
         if not isinstance(problem, dict):
             raise InputValidationError("the problem file must contain a JSON object")
         kind = _require(problem, "kind")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise InputValidationError(f"unknown kind '{kind}'")
         if kind not in allowed_kinds:
             raise InputValidationError(f"command '{args.command}' does not accept kind '{kind}'")

@@ -126,15 +126,29 @@ class Alpha:
         return "alpha_lt_0"
 
 
-def _check_same_alphabet(*dists: Dist) -> None:
-    sizes = {dist.d for dist in dists}
+def _check_dims(*operands) -> None:
+    """Raise unless all operands (anything with a size ``.d``) share one size."""
+    sizes = {operand.d for operand in operands}
     if len(sizes) > 1:
-        raise DimensionMismatchError(f"distributions live on different alphabets: sizes {sorted(sizes)}")
+        raise DimensionMismatchError(f"operands live on spaces of different sizes: {sorted(sizes)}")
+
+
+def _feasible_support(regime: str, nu_support: np.ndarray, theta_support: np.ndarray) -> np.ndarray:
+    """Boolean mask of where a candidate may carry mass in the given order regime.
+
+    The support constraint of the variational problems: inside ``nu`` for
+    ``a > 1``, inside both for ``0 < a < 1``, inside ``theta`` for ``a < 0``.
+    """
+    if regime == "alpha_gt_1":
+        return nu_support
+    if regime == "alpha_in_01":
+        return nu_support & theta_support
+    return theta_support
 
 
 def abs_cont(nu: Dist, theta: Dist) -> bool:
     """True when nu is absolutely continuous w.r.t. theta (support containment)."""
-    _check_same_alphabet(nu, theta)
+    _check_dims(nu, theta)
     return bool(np.all(nu.weights[theta.weights == 0] == 0))
 
 
@@ -162,7 +176,7 @@ def _renyi(a: float, nu: Dist, theta: Dist) -> ExtReal:
 
 def renyi_div(alpha: Alpha, nu: Dist, theta: Dist) -> ExtReal:
     """Renyi divergence R_alpha(nu || theta) under the library conventions."""
-    _check_same_alphabet(nu, theta)
+    _check_dims(nu, theta)
     return _renyi(alpha.value, nu, theta)
 
 
@@ -174,7 +188,7 @@ def renyi_via_reference(alpha: Alpha, nu: Dist, theta: Dist, eta: Dist) -> ExtRe
     are dominated by it; the direct formula is recovered with the counting
     reference.  Requires ``nu << eta`` and ``theta << eta``.
     """
-    _check_same_alphabet(nu, theta, eta)
+    _check_dims(nu, theta, eta)
     if not abs_cont(nu, eta):
         raise AbsoluteContinuityError("nu is not absolutely continuous w.r.t. the reference")
     if not abs_cont(theta, eta):

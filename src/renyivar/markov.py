@@ -40,15 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .distributions import Alpha, Dist
+from .distributions import Alpha, Dist, _check_dims
 from .errors import (
     BalanceError,
-    DimensionMismatchError,
     InvalidDistributionError,
     PathSpaceError,
 )
 from .extreal import POS_INF, ExtReal
-from .numerics import safe_log
 from .spectral import growth_rate_from_log
 
 __all__ = [
@@ -144,14 +142,9 @@ def kernel(nu: PairMeasure) -> Kernel:
     return Kernel(rows=rows, support_states=support(nu))
 
 
-def _check_same_state_space(nu: PairMeasure, theta: PairMeasure) -> None:
-    if nu.d != theta.d:
-        raise DimensionMismatchError(f"pair measures live on different state spaces: {nu.d} vs {theta.d}")
-
-
 def abs_cont_pair(nu: PairMeasure, theta: PairMeasure) -> bool:
     """Edge-support containment: nu(i, j) > 0 implies theta(i, j) > 0."""
-    _check_same_state_space(nu, theta)
+    _check_dims(nu, theta)
     return bool(np.all(nu.entries[theta.entries == 0] == 0))
 
 
@@ -186,7 +179,7 @@ def path_distribution(nu: PairMeasure, n: int) -> Dist:
 
 def check_abs_cont_lift(nu: PairMeasure, theta: PairMeasure, n: int) -> bool:
     """Verify that pair-level domination matches path-level domination at length n."""
-    _check_same_state_space(nu, theta)
+    _check_dims(nu, theta)
     nu_n = path_distribution(nu, n)
     theta_n = path_distribution(theta, n)
     path_level = bool(np.all(nu_n.weights[theta_n.weights == 0] == 0))
@@ -214,5 +207,5 @@ def _rate(a: float, nu: PairMeasure, theta: PairMeasure) -> ExtReal:
 
 def renyi_rate(alpha: Alpha, nu: PairMeasure, theta: PairMeasure) -> ExtReal:
     """Per-step Renyi divergence rate of order alpha between two stationary chains."""
-    _check_same_state_space(nu, theta)
+    _check_dims(nu, theta)
     return _rate(alpha.value, nu, theta)

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .distributions import Alpha
-from .errors import DimensionMismatchError, InfeasiblePointError, InputValidationError
+from .distributions import Alpha, _check_dims, _feasible_support
+from .errors import InfeasiblePointError, InputValidationError
 from .extreal import POS_INF, ExtReal
 from .markov import (
     PairMeasure,
@@ -50,17 +50,9 @@ from .markov import (
     kernel,
     rel_entropy_rate,
     renyi_rate,
-    support,
 )
-from .numerics import logsumexp, safe_log
-from .spectral import (
-    NonnegMatrix,
-    PerronData,
-    _log_perron_root,
-    classes,
-    growth_rate_from_log,
-    perron_from_log,
-)
+from .numerics import logsumexp
+from .spectral import PerronData, dominant_class, growth_rate_from_log, perron_from_log
 from .variational import CertResult, _attainment_residual, _signed_gap
 
 __all__ = [
@@ -140,12 +132,6 @@ class RhoIdentityReport:
     passed: bool
 
 
-def _check_dims(*pairs: PairMeasure) -> None:
-    sizes = {p.d for p in pairs}
-    if len(sizes) > 1:
-        raise DimensionMismatchError(f"pair measures live on different state spaces: sizes {sorted(sizes)}")
-
-
 def _objective(a: float, mu: PairMeasure, nu: PairMeasure, theta: PairMeasure) -> ExtReal:
     return rel_entropy_rate(mu, theta).scale(1.0 / a) - rel_entropy_rate(mu, nu).scale(1.0 / (a - 1.0))
 
@@ -158,27 +144,6 @@ def markov_objective(alpha: Alpha, mu: PairMeasure, nu: PairMeasure, theta: Pair
     """
     _check_dims(mu, nu, theta)
     return _objective(alpha.value, mu, nu, theta)
-
-
-def _cyclic_classes_of(log_m: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-    """Cyclic classes of the support digraph of a log-matrix, with their indices."""
-    pattern = NonnegMatrix(np.where(log_m > -math.inf, 1.0, 0.0))
-    decomposition = classes(pattern)
-    return [
-        (k, cls)
-        for k, (cls, flag) in enumerate(zip(decomposition.classes, decomposition.cyclic))
-        if flag
-    ]
-
-
-def _argmax_class(log_m: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
-    """The first class (smallest-state order) with the largest Perron root."""
-    best: tuple[int, tuple[int, ...], float] | None = None
-    for k, cls in _cyclic_classes_of(log_m):
-        root = _log_perron_root(log_m, cls)
-        if best is None or root > best[2]:
-            best = (k, cls, root)
-    return best
 
 
 def _twist(log_m: np.ndarray, cls: tuple[int, ...], class_index: int) -> tuple[PairMeasure, PerronData]:
@@ -209,7 +174,7 @@ def _solve(a: float, nu: PairMeasure, theta: PairMeasure) -> MarkovVarSolution:
         residual = _attainment_residual(POS_INF, _objective(a, nu, nu, theta))
         return MarkovVarSolution(POS_INF, nu, None, None, residual)
     log_m = _tilted_log_kernel(a, nu, theta)
-    located = _argmax_class(log_m)
+    located = dominant_class(log_m)
     if located is None:
         # 0 < a < 1 with no common cycle: the feasible set of doubly
         # dominated stationary measures is empty, the infimum is +inf.
@@ -232,14 +197,6 @@ def solve_markov_variational(alpha: Alpha, nu: PairMeasure, theta: PairMeasure) 
     return _solve(alpha.value, nu, theta)
 
 
-def _feasible(regime: str, mu: PairMeasure, nu: PairMeasure, theta: PairMeasure) -> bool:
-    if regime == "alpha_gt_1":
-        return abs_cont_pair(mu, nu)
-    if regime == "alpha_in_01":
-        return abs_cont_pair(mu, nu) and abs_cont_pair(mu, theta)
-    return abs_cont_pair(mu, theta)
-
-
 def certify_markov_inequality(
     alpha: Alpha,
     mu: PairMeasure,
@@ -255,7 +212,7 @@ def certify_markov_inequality(
     """
     _check_dims(mu, nu, theta)
     regime = alpha.regime
-    if not _feasible(regime, mu, nu, theta):
+    if np.any(mu.edge_support & ~_feasible_support(regime, nu.edge_support, theta.edge_support)):
         raise InfeasiblePointError(f"candidate violates the support constraint of regime {regime}")
     value = renyi_rate(alpha, nu, theta)
     candidate = markov_objective(alpha, mu, nu, theta)
@@ -281,8 +238,7 @@ def varadhan_growth(g: EdgeFn, mu: PairMeasure) -> ExtReal:
     Always finite: the support of a stationary pair measure decomposes into
     cyclic classes, so the tilted matrix is never nilpotent.
     """
-    if g.d != mu.d:
-        raise DimensionMismatchError("edge function and pair measure sizes differ")
+    _check_dims(g, mu)
     return growth_rate_from_log(_edge_tilt(g, mu))
 
 
@@ -294,10 +250,9 @@ def varadhan_solve(g: EdgeFn, mu: PairMeasure) -> MarkovVarSolution:
     attained by the eigenvector twist of the tilted matrix on its maximizing
     class.  The reported residual evaluates that attainment independently.
     """
-    if g.d != mu.d:
-        raise DimensionMismatchError("edge function and pair measure sizes differ")
+    _check_dims(g, mu)
     log_m = _edge_tilt(g, mu)
-    located = _argmax_class(log_m)
+    located = dominant_class(log_m)
     assert located is not None  # stationary supports always carry a cycle
     class_index, cls, root = located
     theta_star, data = _twist(log_m, cls, class_index)
@@ -316,11 +271,10 @@ def markov_acd_sup(alpha: Alpha, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolu
     attaining measure twists ``M = [e^{g} theta(j|i)]`` with its own Perron
     vectors on the class where ``N`` grows fastest.
     """
-    if g.d != theta.d:
-        raise DimensionMismatchError("edge function and pair measure sizes differ")
+    _check_dims(g, theta)
     a = alpha.value
     log_n = _edge_tilt(g, theta, factor=a)
-    located = _argmax_class(log_n)
+    located = dominant_class(log_n)
     assert located is not None
     class_index, cls, root_n = located
     log_m = _edge_tilt(g, theta)
@@ -339,11 +293,10 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
     problem at order ``1 - a`` with tilt ``-g``; the attaining measure is the
     twist of ``[e^{-g} nu(j|i)]`` on the class maximizing that same matrix.
     """
-    if g.d != nu.d:
-        raise DimensionMismatchError("edge function and pair measure sizes differ")
+    _check_dims(g, nu)
     a = alpha.value
     log_n = _edge_tilt(g, nu, factor=a - 1.0)
-    located = _argmax_class(log_n)
+    located = dominant_class(log_n)
     assert located is not None
     class_index, cls, root_n = located
     log_m = _edge_tilt(g, nu, factor=-1.0)
@@ -394,9 +347,7 @@ def certify_markov_acd(
 
     with an infinite rate certifying trivially.
     """
-    _check_dims(nu, theta)
-    if g.d != nu.d:
-        raise DimensionMismatchError("edge function and pair measure sizes differ")
+    _check_dims(g, nu, theta)
     a = alpha.value
     lhs = growth_rate_from_log(_edge_tilt(g, theta, factor=a)).raw / a
     rhs = growth_rate_from_log(_edge_tilt(g, nu, factor=a - 1.0)).raw / (a - 1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Alpha, Dist, rel_entropy, renyi_div
+from .distributions import Alpha, Dist, _feasible_support, rel_entropy, renyi_div
 from .errors import InputValidationError
 from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, kernel, rel_entropy_rate, renyi_rate
@@ -177,10 +177,10 @@ def _tilt_matrix(g_values: np.ndarray, mu: PairMeasure) -> np.ndarray:
     return out
 
 
-def easyvar_finite_n_oracle(g_values: np.ndarray, mu: PairMeasure, n: int) -> float:
-    """(1/n) log E[exp(sum of g along a length-n path)] under the chain of mu."""
-    if n < 1:
-        raise InputValidationError("need n >= 1")
+def _easyvar_recursion(
+    g_values: np.ndarray, mu: PairMeasure, n_max: int
+) -> tuple[np.ndarray, dict[int, float]]:
+    """The tilted log kernel, and log E[exp(sum of g along a length-n path)] for n = 1..n_max."""
     g_values = np.asarray(g_values, dtype=float)
     if g_values.shape != mu.entries.shape:
         raise InputValidationError("edge-function shape must match the pair measure")
@@ -189,9 +189,19 @@ def easyvar_finite_n_oracle(g_values: np.ndarray, mu: PairMeasure, n: int) -> fl
     on = marginal > 0
     v[on] = np.log(marginal[on])
     log_step = _tilt_matrix(g_values, mu)
-    for _ in range(n - 1):
+    values = {1: logsumexp(v)}
+    for n in range(2, n_max + 1):
         v = log_vecmat(v, log_step)
-    return logsumexp(v) / n
+        values[n] = logsumexp(v)
+    return log_step, values
+
+
+def easyvar_finite_n_oracle(g_values: np.ndarray, mu: PairMeasure, n: int) -> float:
+    """(1/n) log E[exp(sum of g along a length-n path)] under the chain of mu."""
+    if n < 1:
+        raise InputValidationError("need n >= 1")
+    _, values = _easyvar_recursion(g_values, mu, n)
+    return values[n] / n
 
 
 def easyvar_oracle_report(
@@ -203,25 +213,13 @@ def easyvar_oracle_report(
     """Finite-horizon approach to the growth rate of [e^{g} mu(j|i)].
 
     The claim is recomputed spectrally from the same tilted matrix; the
-    sequence comes from the independent path recursion of
+    sequence comes from the independent path recursion that also backs
     :func:`easyvar_finite_n_oracle`.
     """
     if n_max < 2:
         raise InputValidationError("need n_max >= 2 for a nontrivial report")
-    g_values = np.asarray(g_values, dtype=float)
-    if g_values.shape != mu.entries.shape:
-        raise InputValidationError("edge-function shape must match the pair measure")
-    claim = growth_rate_from_log(_tilt_matrix(g_values, mu))
-    marginal = mu.state_marginal
-    v = np.full(mu.d, -math.inf)
-    on = marginal > 0
-    v[on] = np.log(marginal[on])
-    log_step = _tilt_matrix(g_values, mu)
-    values = {1: logsumexp(v)}
-    for n in range(2, n_max + 1):
-        v = log_vecmat(v, log_step)
-        values[n] = logsumexp(v)
-    return _report(values, claim, mode)
+    log_step, values = _easyvar_recursion(g_values, mu, n_max)
+    return _report(values, growth_rate_from_log(log_step), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +280,13 @@ def _iid_objective(a: float, weights: np.ndarray, nu: Dist, theta: Dist) -> floa
     return d_theta.raw / a - d_nu.raw / (a - 1.0)
 
 
-def _iid_feasible_mask(regime: str, nu: Dist, theta: Dist) -> np.ndarray:
-    if regime == "alpha_gt_1":
-        return nu.support
-    if regime == "alpha_in_01":
-        return nu.support & theta.support
-    return theta.support
-
-
 def _search_iid(
     problem: IIDVariationalProblem, trials: int, seed: int, hill_steps: int, tol: float
 ) -> RandomSearchReport:
     a = problem.alpha.value
     regime = problem.alpha.regime
     nu, theta = problem.nu, problem.theta
-    mask = _iid_feasible_mask(regime, nu, theta)
+    mask = _feasible_support(regime, nu.support, theta.support)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise InputValidationError("the feasible set of the descriptor is empty")
@@ -380,14 +370,6 @@ def _stationary_law(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     return full
 
 
-def _markov_feasible_support(regime: str, nu: PairMeasure, theta: PairMeasure) -> np.ndarray:
-    if regime == "alpha_gt_1":
-        return nu.edge_support
-    if regime == "alpha_in_01":
-        return nu.edge_support & theta.edge_support
-    return theta.edge_support
-
-
 def _random_stationary(
     rng: np.random.Generator, edge_mask: np.ndarray, shape: float, state_pool: np.ndarray
 ) -> PairMeasure | None:
@@ -431,7 +413,7 @@ def _search_markov(
     a = problem.alpha.value
     regime = problem.alpha.regime
     nu, theta = problem.nu, problem.theta
-    edge_mask = _markov_feasible_support(regime, nu, theta)
+    edge_mask = _feasible_support(regime, nu.edge_support, theta.edge_support)
     pattern = NonnegMatrix(edge_mask.astype(float))
     all_cyclic = classes(pattern).cyclic_classes()
     if not all_cyclic:

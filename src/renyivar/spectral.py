@@ -184,19 +184,11 @@ def _tarjan(adj: dict[int, list[int]], nodes: Sequence[int]) -> list[list[int]]:
     return components
 
 
-def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomposition:
-    """Decompose the support digraph (restricted to ``states``) into classes."""
-    if states is None:
-        node_list: list[int] = list(range(m.d))
-    else:
-        node_list = sorted(set(int(s) for s in states))
-        if node_list and (node_list[0] < 0 or node_list[-1] >= m.d):
-            raise InputValidationError("states outside the matrix index range")
-    support = m.support
-    adjacency = _restricted_adjacency(support, node_list)
-    components = _tarjan(adjacency, node_list)
+def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
+    """Classes of a boolean support digraph restricted to ``nodes``."""
+    components = _tarjan(_restricted_adjacency(support, nodes), nodes)
     ordered = sorted((tuple(sorted(c)) for c in components), key=lambda c: c[0])
-    class_of = np.full(m.d, -1, dtype=int)
+    class_of = np.full(support.shape[0], -1, dtype=int)
     cyclic_flags: list[bool] = []
     for k, component in enumerate(ordered):
         for i in component:
@@ -208,6 +200,17 @@ def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomp
             cyclic_flags.append(bool(support[i, i]))
     class_of.flags.writeable = False
     return ClassDecomposition(tuple(ordered), class_of, tuple(cyclic_flags))
+
+
+def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomposition:
+    """Decompose the support digraph (restricted to ``states``) into classes."""
+    if states is None:
+        node_list: list[int] = list(range(m.d))
+    else:
+        node_list = sorted(set(int(s) for s in states))
+        if node_list and (node_list[0] < 0 or node_list[-1] >= m.d):
+            raise InputValidationError("states outside the matrix index range")
+    return _decompose(m.support, node_list)
 
 
 def has_cycle(m: NonnegMatrix) -> bool:
@@ -319,14 +322,17 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
-    block_support = log_block > -math.inf
-    n = block_support.shape[0]
-    adjacency = {i: list(np.flatnonzero(block_support[i])) for i in range(n)}
-    components = _tarjan(adjacency, list(range(n)))
-    if len(components) != 1:
+    decomposition = _decompose(log_block > -math.inf, range(log_block.shape[0]))
+    if len(decomposition.classes) != 1:
         raise ClassStructureError(f"states {tuple(states)} do not form a single irreducible class")
-    if n == 1 and not block_support[0, 0]:
+    if not decomposition.cyclic[0]:
         raise ClassStructureError(f"singleton class {tuple(states)} has no self-loop, hence no cycle")
+
+
+def _balanced_block(block_log: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(mu, pot, block)``: a class block rescaled by its max-plus potentials, exponentiated."""
+    mu, pot = _tropical_balance(block_log)
+    return mu, pot, np.exp(block_log + pot[None, :] - pot[:, None] - mu)
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
@@ -344,8 +350,7 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
         raise ClassStructureError("class states outside the matrix index range")
     block_log = log_entries[np.ix_(idx, idx)]
     _validate_cyclic_class(block_log, idx)
-    mu, pot = _tropical_balance(block_log)
-    block = np.exp(block_log + pot[None, :] - pot[:, None] - mu)
+    mu, pot, block = _balanced_block(block_log)
     lam_r, right_block, _ = _power_iteration(block)
     lam_l, left_block, _ = _power_iteration(block.T)
     lam = 0.5 * (lam_r + lam_l)
@@ -369,30 +374,36 @@ def perron(m: NonnegMatrix, cls: Sequence[int], class_index: int = 0) -> PerronD
     return perron_from_log(safe_log(m.entries), cls, class_index)
 
 
-def _log_perron_root(log_entries: np.ndarray, cls: Sequence[int]) -> float:
-    """Log Perron root of a cyclic class (right iteration only, no eigendata)."""
-    idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
-    block_log = np.asarray(log_entries, dtype=float)[np.ix_(idx, idx)]
-    mu, pot = _tropical_balance(block_log)
-    lam, _, _ = _power_iteration(np.exp(block_log + pot[None, :] - pot[:, None] - mu))
-    return math.log(lam) + mu
+def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
+    """The dominant cyclic class of the matrix whose elementwise log is given.
+
+    Returns ``(class_index, states, log_root)`` for the first class, in
+    smallest-state order, with the strictly largest log Perron root (right
+    iteration only, no eigendata); ``None`` when the support is acyclic.
+    """
+    log_entries = np.asarray(log_entries, dtype=float)
+    if log_entries.ndim != 2 or log_entries.shape[0] != log_entries.shape[1] or log_entries.size == 0:
+        raise InputValidationError("entries must form a nonempty square matrix")
+    decomposition = _decompose(log_entries > -math.inf, range(log_entries.shape[0]))
+    best: tuple[int, tuple[int, ...], float] | None = None
+    for k, cls in enumerate(decomposition.classes):
+        if not decomposition.cyclic[k]:
+            continue
+        idx = np.asarray(cls, dtype=int)
+        mu, _, block = _balanced_block(log_entries[np.ix_(idx, idx)])
+        lam, _, _ = _power_iteration(block)
+        root = math.log(lam) + mu
+        if best is None or root > best[2]:
+            best = (k, cls, root)
+    return best
 
 
 def growth_rate_from_log(log_entries: np.ndarray) -> ExtReal:
     """Growth rate of the matrix whose elementwise log is given."""
-    log_entries = np.asarray(log_entries, dtype=float)
-    support = NonnegMatrix(np.where(log_entries > -math.inf, 1.0, 0.0))
-    decomposition = classes(support)
-    best: float | None = None
-    for k, cls in enumerate(decomposition.classes):
-        if not decomposition.cyclic[k]:
-            continue
-        root = _log_perron_root(log_entries, cls)
-        if best is None or root > best:
-            best = root
-    if best is None:
+    located = dominant_class(log_entries)
+    if located is None:
         return NEG_INF
-    return ExtReal.finite(best)
+    return ExtReal.finite(located[2])
 
 
 def growth_rate(m: NonnegMatrix) -> ExtReal:

@@ -119,6 +119,36 @@ class TestExitCodes:
         code, _, err = run_cli("div", str(DATA / "dim_mismatch.json"))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": ["x", 1], "theta": [0.5, 0.5]}'),
+            ("rate", '{"kind": "markov_rate", "alpha": 2, "nu": [[0.5, 0.5], [0.5]], "theta": [[1]]}'),
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": {"a": 1}, "theta": [0.5, 0.5]}'),
+            ("div", '{"kind": ["a"], "alpha": 2}'),
+            ("div", '{"kind": "iid_divergence", "alpha": 1' + "0" * 400 + ', "nu": [1], "theta": [1]}'),
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": [1' + "0" * 400 + '], "theta": [1]}'),
+            ("div", '{"kind": "iid_divergence", "alpha": ' + "1" * 5000 + "}"),
+            ("div", '{"kind": "iid_divergence", "nu": ' + "[" * 100000 + "]" * 100000 + "}"),
+        ],
+        ids=[
+            "non_numeric_entry",
+            "ragged_rows",
+            "object_as_vector",
+            "non_string_kind",
+            "alpha_beyond_float",
+            "entry_beyond_float",
+            "integer_too_long",
+            "nesting_too_deep",
+        ],
+    )
+    def test_exit_two_on_unparseable_values(self, tmp_path, command, text):
+        problem = tmp_path / "problem.json"
+        problem.write_text(text)
+        code, out, err = run_cli(command, str(problem))
+        assert code == 2 and out == b""
+        assert err.startswith("error:")
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate", str(DATA / "div_basic.json"))

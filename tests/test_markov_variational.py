@@ -20,6 +20,8 @@ from renyivar import (
     varadhan_growth,
     varadhan_solve,
 )
+from renyivar.markov import _tilted_log_kernel
+from renyivar.spectral import dominant_class, growth_rate_from_log
 from conftest import ALPHA_GRID, feasible_edge_mask, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
@@ -93,6 +95,25 @@ class TestSolveMarkovVariational:
         want = np.zeros((2, 2))
         want[winner, winner] = 1.0
         np.testing.assert_allclose(sol.optimizer.entries, want, atol=1e-12)
+
+    def test_tied_disjoint_classes_pick_the_first(self, rng):
+        # One 2-state chain copied onto states {0, 2} and {1, 3}: every class root ties.
+        def spread(block: np.ndarray) -> np.ndarray:
+            out = np.zeros((4, 4))
+            for states in ((0, 2), (1, 3)):
+                out[np.ix_(states, states)] = block
+            return out
+
+        nu = PairMeasure(spread(random_pair(rng, 2).entries))
+        th = PairMeasure(spread(random_pair(rng, 2).entries))
+        for a in ALPHA_GRID:
+            assert solve_markov_variational(Alpha(a), nu, th).class_used == (0, 2)
+        log_m = _tilted_log_kernel(2.0, nu, th)
+        located = dominant_class(log_m)
+        assert located[:2] == (0, (0, 2))
+        assert growth_rate_from_log(log_m).raw == located[2]
+        g = EdgeFn(spread(rng.uniform(-2.0, 2.0, size=(2, 2))))
+        assert varadhan_solve(g, nu).class_used == (0, 2)
 
     def test_attainment_and_balance_across_grid(self, rng):
         for a in ALPHA_GRID:
