@@ -23,9 +23,16 @@ Problem files carry a ``kind`` discriminator::
 Supported kinds: ``iid_divergence``, ``iid_variational``, ``iid_acd``,
 ``markov_rate``, ``markov_variational``, ``markov_acd``, ``growth``,
 ``oracle``.  Vectors are lists of numbers, pair measures and edge functions
-are lists of rows.  ``options`` holds integers such as ``n_max`` or
-``trials``; ``--seed`` feeds the random-search oracle; ``--tol`` overrides
-the pass threshold of whichever certification the command performs.
+are lists of rows; JSON strings and booleans are not numbers.  ``options``
+holds integers such as ``n_max`` or ``trials``; ``--seed`` feeds the
+random-search oracle; ``--tol`` overrides the pass threshold of whichever
+certification the command performs.
+
+The options bound the work of a run: a negative value, or one above its
+limit, is rejected (exit 2) before any work starts.  The limits are
+``MAX_N_MAX`` = 10000 for ``n_max`` (growth, Markov rate oracle),
+``MAX_TRIALS`` = 20000 for ``trials`` and ``MAX_HILL_STEPS`` = 5000 for
+``hill_steps`` (random search).
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ from .variational import (
     certify_inequality,
     solve_variational,
 )
+
+MAX_N_MAX = 10_000
+MAX_TRIALS = 20_000
+MAX_HILL_STEPS = 5_000
 
 _KINDS = {
     "iid_divergence",
@@ -158,12 +169,21 @@ def _require(problem: dict, field: str) -> Any:
     return problem[field]
 
 
+def _is_number(raw: Any) -> bool:
+    """A JSON number: ``bool`` is an ``int`` subclass in Python, but not a number here."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _as_array(raw: Any, field: str, ndim: int, shape: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
     except (ValueError, TypeError, OverflowError):  # non-numeric, ragged, beyond float range
         arr = None
     if arr is None or arr.ndim != ndim:
+        raise InputValidationError(f"field '{field}' must be {shape}")
+    # numpy also converts strings such as "0.5" and booleans: reject those
+    entries = raw if ndim == 1 else [x for row in raw for x in row]
+    if not all(map(_is_number, entries)):
         raise InputValidationError(f"field '{field}' must be {shape}")
     return arr
 
@@ -178,7 +198,7 @@ def _as_matrix(raw: Any, field: str) -> np.ndarray:
 
 def _as_alpha(problem: dict) -> Alpha:
     raw = _require(problem, "alpha")
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+    if not _is_number(raw):
         raise InputValidationError("field 'alpha' must be a number")
     try:
         value = float(raw)
@@ -195,13 +215,15 @@ def _as_pair(problem: dict, field: str) -> PairMeasure:
     return PairMeasure(_as_matrix(_require(problem, field), field))
 
 
-def _option(problem: dict, name: str, default: int) -> int:
+def _option(problem: dict, name: str, default: int, limit: int) -> int:
     options = problem.get("options", {})
     if not isinstance(options, dict):
         raise InputValidationError("field 'options' must be an object")
     raw = options.get(name, default)
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise InputValidationError(f"option '{name}' must be an integer")
+    if not 0 <= raw <= limit:
+        raise InputValidationError(f"option '{name}' must lie in [0, {limit}]")
     return raw
 
 
@@ -240,9 +262,9 @@ def _cmd_rate(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
 
 def _cmd_growth(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
     matrix = NonnegMatrix(_as_matrix(_require(problem, "m"), "m"))
+    n_max = _option(problem, "n_max", 0, MAX_N_MAX)
     spectral_rate = growth_rate(matrix)
     results: dict[str, Any] = {"growth_rate": _ext(spectral_rate)}
-    n_max = _option(problem, "n_max", 0)
     if n_max:
         brute = growth_rate_bruteforce(matrix, n_max)
         results["bruteforce_n"] = n_max
@@ -389,7 +411,7 @@ def _oracle_markov_rate(problem: dict, tol: float, seed: int) -> tuple[dict, boo
     alpha = _as_alpha(problem)
     nu = _as_pair(problem, "nu")
     theta = _as_pair(problem, "theta")
-    n_max = _option(problem, "n_max", 200)
+    n_max = _option(problem, "n_max", 200, MAX_N_MAX)
     effective = tol if tol is not None else 1e-6
     renyi_report = renyi_rate_oracle(alpha, nu, theta, n_max=n_max, mode="difference")
     entropy_report = rel_entropy_rate_oracle(nu, theta, n_max=n_max, mode="difference")
@@ -408,8 +430,8 @@ def _oracle_markov_rate(problem: dict, tol: float, seed: int) -> tuple[dict, boo
 def _oracle_random_search(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
     target_kind = _require(problem, "problem")
     alpha = _as_alpha(problem)
-    trials = _option(problem, "trials", 2000)
-    hill_steps = _option(problem, "hill_steps", 200)
+    trials = _option(problem, "trials", 2000, MAX_TRIALS)
+    hill_steps = _option(problem, "hill_steps", 200, MAX_HILL_STEPS)
     effective = tol if tol is not None else 1e-8
     if target_kind == "iid_variational":
         descriptor: IIDVariationalProblem | MarkovVariationalProblem = IIDVariationalProblem(

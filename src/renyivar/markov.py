@@ -133,13 +133,20 @@ def support(nu: PairMeasure) -> tuple[int, ...]:
 
 
 def kernel(nu: PairMeasure) -> Kernel:
-    """Conditional next-state law nu(j | i) = nu(i, j) / nu(i, +) on the support."""
-    marginal = nu.state_marginal
-    rows = np.zeros_like(nu.entries)
-    on = marginal > 0
-    rows[on] = nu.entries[on] / marginal[on, None]
-    rows.flags.writeable = False
-    return Kernel(rows=rows, support_states=support(nu))
+    """Conditional next-state law nu(j | i) = nu(i, j) / nu(i, +) on the support.
+
+    Computed once per pair measure and kept on it: both are immutable.
+    """
+    cached = nu.__dict__.get("_kernel")
+    if cached is None:
+        marginal = nu.state_marginal
+        rows = np.zeros_like(nu.entries)
+        on = marginal > 0
+        rows[on] = nu.entries[on] / marginal[on, None]
+        rows.flags.writeable = False
+        cached = Kernel(rows=rows, support_states=support(nu))
+        object.__setattr__(nu, "_kernel", cached)
+    return cached
 
 
 def abs_cont_pair(nu: PairMeasure, theta: PairMeasure) -> bool:

@@ -8,24 +8,33 @@ rate
 
 is ``-inf`` exactly when that digraph has no directed cycle (M is nilpotent),
 and otherwise equals the log of the largest Perron root over the cyclic
-strongly connected components.  This module computes the class structure, the
-Perron data of a class (by shifted power iteration, certified by an explicit
-eigen-residual), the growth rate both spectrally and by brute-force matrix
-powers, and the maximal stationary edge measure supported inside the cyclic
-classes.
+strongly connected components.  This module computes the class structure (by
+boolean reachability: the transitive closure of the support, grouped by
+mutual reachability), the Perron data of a class (by shifted power iteration,
+certified by an explicit eigen-residual), the growth rate both spectrally and
+by brute-force matrix powers, and the maximal stationary edge measure
+supported inside the cyclic classes.
 
 Matrices produced by exponential tilts are passed around as elementwise logs
 (``-inf`` marking structural zeros); the ``*_from_log`` entry points rescale
 by a tropical (max-plus) diagonal balancing before exponentiating, so the
 linear-algebra kernels only ever see blocks whose largest entry and Perron
 root are both of order one, whatever the dynamic range of the input.
+
+Balancing a class block and running the right power iteration on it is the
+step every growth rate and Perron computation shares, and the Markov
+certificates repeat it on the same blocks many times over.  It is memoised
+on the exact bytes of the block (:func:`_class_step`), so a repeat returns
+the very floats a recomputation would.  The memo holds at most 64 blocks of
+at most 64 states each; larger blocks are always recomputed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -132,74 +141,33 @@ class PerronData:
         return math.exp(self.log_lam)
 
 
-def _restricted_adjacency(support: np.ndarray, states: Sequence[int]) -> dict[int, list[int]]:
-    inside = set(states)
-    return {i: [int(j) for j in np.flatnonzero(support[i]) if j in inside] for i in states}
-
-
-def _tarjan(adj: dict[int, list[int]], nodes: Sequence[int]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected-components over the given nodes."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, Iterable[int]]] = []
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work.append((root, iter(adj[root])))
-        while work:
-            v, edge_iter = work[-1]
-            advanced = False
-            for w in edge_iter:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
-
-
 def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
-    """Classes of a boolean support digraph restricted to ``nodes``."""
-    components = _tarjan(_restricted_adjacency(support, nodes), nodes)
-    ordered = sorted((tuple(sorted(c)) for c in components), key=lambda c: c[0])
+    """Classes of a boolean support digraph restricted to ``nodes`` (given in increasing order).
+
+    Reachability within ``nodes`` is the transitive closure of ``I | S``,
+    found by squaring until it stops changing; two states share a class
+    exactly when each reaches the other.  Classes come in smallest-state order.
+    """
+    idx = np.fromiter(nodes, dtype=int)
+    inside = support[idx[:, None], idx]
+    reach = inside | np.eye(idx.size, dtype=bool)
+    while True:
+        steps = reach.astype(float)  # float products use BLAS; path counts up to d are exact
+        closed = steps @ steps > 0
+        if np.count_nonzero(closed) == np.count_nonzero(reach):  # closed contains reach
+            break
+        reach = closed
+    mutual = reach & reach.T
+    # the smallest state sharing each state's class names that class
+    first = mutual.argmax(axis=1) if idx.size else idx
+    leaders = (first == np.arange(idx.size)).nonzero()[0]
     class_of = np.full(support.shape[0], -1, dtype=int)
-    cyclic_flags: list[bool] = []
-    for k, component in enumerate(ordered):
-        for i in component:
-            class_of[i] = k
-        if len(component) > 1:
-            cyclic_flags.append(True)
-        else:
-            i = component[0]
-            cyclic_flags.append(bool(support[i, i]))
+    class_of[idx] = np.searchsorted(leaders, first)
     class_of.flags.writeable = False
-    return ClassDecomposition(tuple(ordered), class_of, tuple(cyclic_flags))
+    members = mutual[leaders]
+    ordered = tuple(tuple(idx[row].tolist()) for row in members)
+    cyclic = (members.sum(axis=1) > 1) | inside.diagonal()[leaders]
+    return ClassDecomposition(ordered, class_of, tuple(cyclic.tolist()))
 
 
 def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomposition:
@@ -290,32 +258,23 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     the original entries span hundreds of orders of magnitude.
     """
     n = block_log.shape[0]
-    walk = np.zeros(n)
-    best_mean = np.full(n, math.inf)
-    history = [walk]
+    # walks[k, v]: heaviest walk of length k ending at v, from anywhere
+    walks = np.zeros((n + 1, n))
     for k in range(1, n + 1):
-        walk = np.max(walk[:, None] + block_log, axis=0)
-        history.append(walk)
-    final = history[n]
-    means = np.full(n, -math.inf)
-    for v in range(n):
-        if final[v] == -math.inf:
-            continue
-        best_mean[v] = math.inf
-        for k in range(n):
-            if history[k][v] == -math.inf:
-                continue
-            best_mean[v] = min(best_mean[v], (final[v] - history[k][v]) / (n - k))
-        means[v] = best_mean[v]
-    mu = float(np.max(means))
+        walks[k] = (walks[k - 1][:, None] + block_log).max(axis=0)
+    final, earlier = walks[n], walks[:n]
+    reached = (final != -math.inf) & (earlier != -math.inf)
+    gaps = np.subtract(final, earlier, out=np.full((n, n), math.inf), where=reached)
+    means = (gaps / np.arange(n, 0, -1)[:, None]).min(axis=0)
+    mu = float(np.where(final != -math.inf, means, -math.inf).max())
     if not math.isfinite(mu):
         raise ClassStructureError("max cycle mean undefined: the block carries no cycle")
     # longest-walk potentials for the zero-max-cycle-mean weights
     weights = block_log - mu
     p = np.zeros(n)
     for _ in range(2 * n + 2):
-        relaxed = np.maximum(p, np.max(weights + p[None, :], axis=1))
-        if np.array_equal(relaxed, p):
+        relaxed = np.maximum(p, (weights + p[None, :]).max(axis=1))
+        if (relaxed == p).all():
             break
         p = relaxed
     return mu, p
@@ -323,16 +282,47 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
     decomposition = _decompose(log_block > -math.inf, range(log_block.shape[0]))
+    shown = tuple(int(s) for s in states)
     if len(decomposition.classes) != 1:
-        raise ClassStructureError(f"states {tuple(states)} do not form a single irreducible class")
+        raise ClassStructureError(f"states {shown} do not form a single irreducible class")
     if not decomposition.cyclic[0]:
-        raise ClassStructureError(f"singleton class {tuple(states)} has no self-loop, hence no cycle")
+        raise ClassStructureError(f"singleton class {shown} has no self-loop, hence no cycle")
 
 
-def _balanced_block(block_log: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(mu, pot, block)``: a class block rescaled by its max-plus potentials, exponentiated."""
+def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
+    """A class block rescaled by its max-plus eigendata ``(mu, pot)``, exponentiated."""
+    return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
+
+
+# With these bounds the memo's keys take at most 64 blocks x 64 x 64 entries x 8 bytes = 2 MiB.
+_MEMO_ENTRIES = 64
+_MEMO_MAX_STATES = 64
+
+
+def _right_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """``(mu, pot, lam, right)``: balance a class block, then iterate on the right."""
     mu, pot = _tropical_balance(block_log)
-    return mu, pot, np.exp(block_log + pot[None, :] - pot[:, None] - mu)
+    lam, right, _ = _power_iteration(_balanced_exp(block_log, mu, pot))
+    pot.flags.writeable = False
+    right.flags.writeable = False
+    return mu, pot, lam, right
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _memo_right_step(shape: tuple[int, int], data: bytes) -> tuple[float, np.ndarray, float, np.ndarray]:
+    return _right_step(np.frombuffer(data).reshape(shape))
+
+
+def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """:func:`_right_step` of a class block, computed once per distinct block.
+
+    Identical bytes give identical arithmetic, so a memo hit returns exactly
+    what a recomputation would; the returned arrays are read-only.
+    """
+    block_log = np.ascontiguousarray(block_log, dtype=float)
+    if block_log.shape[0] > _MEMO_MAX_STATES:
+        return _right_step(block_log)
+    return _memo_right_step(block_log.shape, block_log.tobytes())
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
@@ -350,9 +340,8 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
         raise ClassStructureError("class states outside the matrix index range")
     block_log = log_entries[np.ix_(idx, idx)]
     _validate_cyclic_class(block_log, idx)
-    mu, pot, block = _balanced_block(block_log)
-    lam_r, right_block, _ = _power_iteration(block)
-    lam_l, left_block, _ = _power_iteration(block.T)
+    mu, pot, lam_r, right_block = _class_step(block_log)
+    lam_l, left_block, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
     lam = 0.5 * (lam_r + lam_l)
     log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot
@@ -390,8 +379,7 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
         if not decomposition.cyclic[k]:
             continue
         idx = np.asarray(cls, dtype=int)
-        mu, _, block = _balanced_block(log_entries[np.ix_(idx, idx)])
-        lam, _, _ = _power_iteration(block)
+        mu, _, lam, _ = _class_step(log_entries[np.ix_(idx, idx)])
         root = math.log(lam) + mu
         if best is None or root > best[2]:
             best = (k, cls, root)

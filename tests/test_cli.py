@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from renyivar.cli import main
+from renyivar.cli import MAX_HILL_STEPS, MAX_N_MAX, MAX_TRIALS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,6 +130,9 @@ class TestExitCodes:
             ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": [1' + "0" * 400 + '], "theta": [1]}'),
             ("div", '{"kind": "iid_divergence", "alpha": ' + "1" * 5000 + "}"),
             ("div", '{"kind": "iid_divergence", "nu": ' + "[" * 100000 + "]" * 100000 + "}"),
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": ["0.5", "0.5"], "theta": [" 0.25 ", 0.75]}'),
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": [true, false], "theta": [0.5, 0.5]}'),
+            ("rate", '{"kind": "markov_rate", "alpha": 2, "nu": [[0.5, 0], [0, "0.5"]], "theta": [[1]]}'),
         ],
         ids=[
             "non_numeric_entry",
@@ -140,6 +143,9 @@ class TestExitCodes:
             "entry_beyond_float",
             "integer_too_long",
             "nesting_too_deep",
+            "string_entries",
+            "boolean_entries",
+            "string_matrix_entry",
         ],
     )
     def test_exit_two_on_unparseable_values(self, tmp_path, command, text):
@@ -148,6 +154,25 @@ class TestExitCodes:
         code, out, err = run_cli(command, str(problem))
         assert code == 2 and out == b""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, fixture, option, value",
+        [
+            ("growth", "growth_cycle.json", "n_max", MAX_N_MAX + 1),
+            ("oracle", "oracle_rate.json", "n_max", MAX_N_MAX + 1),
+            ("oracle", "oracle_search.json", "trials", MAX_TRIALS + 1),
+            ("oracle", "oracle_search.json", "hill_steps", MAX_HILL_STEPS + 1),
+            ("oracle", "oracle_search.json", "hill_steps", -1),
+        ],
+    )
+    def test_exit_two_on_option_out_of_range(self, tmp_path, command, fixture, option, value):
+        problem = json.loads((DATA / fixture).read_text())
+        problem["options"][option] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(command, str(path))
+        assert code == 2 and out == b""
+        assert err.startswith(f"error: option '{option}'")
 
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

@@ -79,6 +79,12 @@ class TestSupportAndKernel:
         rows = kernel(pm).rows
         np.testing.assert_allclose(rows.sum(axis=1), np.ones(4), atol=1e-12)
 
+    def test_kernel_computed_once_per_measure(self, rng):
+        pm = random_pair(rng, 4)
+        first = kernel(pm)
+        assert kernel(pm) is first and not first.rows.flags.writeable
+        assert kernel(PairMeasure(pm.entries)) is not first
+
 
 class TestAbsContPair:
     def test_examples(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyivar import (
     ClassStructureError,
@@ -19,6 +21,7 @@ from renyivar import (
     perron,
     perron_from_log,
 )
+from renyivar import spectral
 from renyivar.numerics import safe_log
 
 
@@ -85,6 +88,63 @@ class TestClasses:
         dec = classes(NonnegMatrix([[0.0, 1.0], [1.0, 0.0]]))
         assert all(type(s) is int for cls in dec.classes for s in cls)
 
+    def test_empty_state_set(self):
+        dec = classes(NonnegMatrix([[1.0, 1.0], [1.0, 1.0]]), states=[])
+        assert dec.classes == () and dec.cyclic == ()
+        assert list(dec.class_of) == [-1, -1]
+
+
+def _mutual_reachability_classes(support, nodes):
+    """Brute force: depth-first reachability from every node, inside ``nodes``."""
+    inside = set(nodes)
+    reach = {}
+    for v in nodes:
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for w in np.flatnonzero(support[u]):
+                if int(w) in inside and int(w) not in seen:
+                    seen.add(int(w))
+                    todo.append(int(w))
+        reach[v] = seen
+    found = {tuple(sorted(u for u in nodes if u in reach[v] and v in reach[u])) for v in nodes}
+    ordered = sorted(found)
+    cyclic = tuple(len(c) > 1 or bool(support[c[0], c[0]]) for c in ordered)
+    return tuple(ordered), cyclic
+
+
+@st.composite
+def digraphs_with_nodes(draw):
+    """A boolean digraph with a node subset, mixing cycles, transient states and loops."""
+    d = draw(st.integers(min_value=1, max_value=9))
+    cells = draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
+    support = np.array(cells, dtype=bool).reshape(d, d)
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=d - 1), unique=True))
+    return support, sorted(nodes) if draw(st.booleans()) else list(range(d))
+
+
+@settings(max_examples=300)
+@given(digraphs_with_nodes())
+def test_decompose_matches_mutual_reachability(graph):
+    support, nodes = graph
+    dec = spectral._decompose(support, nodes)
+    want_classes, want_cyclic = _mutual_reachability_classes(support, nodes)
+    assert dec.classes == want_classes
+    assert dec.cyclic == want_cyclic
+    assert all(type(s) is int for cls in dec.classes for s in cls)
+    want_of = np.full(support.shape[0], -1)
+    for k, cls in enumerate(want_classes):
+        want_of[list(cls)] = k
+    np.testing.assert_array_equal(dec.class_of, want_of)
+    assert not dec.class_of.flags.writeable
+
+
+def test_decompose_singletons_with_and_without_self_loop():
+    support = np.array([[True, True, False], [False, False, True], [False, False, False]])
+    dec = spectral._decompose(support, range(3))
+    assert dec.classes == ((0,), (1,), (2,))
+    assert dec.cyclic == (True, False, False)
+
 
 class TestPerron:
     def test_two_cycle_eigendata(self):
@@ -129,6 +189,12 @@ class TestPerron:
         m = NonnegMatrix([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ClassStructureError):
             perron(m, (0,))
+
+    def test_class_errors_show_plain_int_states(self):
+        for log_entries, cls in [([[-math.inf]], [0]), ([[0.0, 0.0], [-math.inf, 0.0]], [0, 1])]:
+            with pytest.raises(ClassStructureError) as exc:
+                perron_from_log(np.array(log_entries), cls)
+            assert "np." not in str(exc.value) and "(0" in str(exc.value)
 
     def test_log_domain_handles_extreme_tilts(self):
         # entries e^{+-800} overflow doubles; the log-form entry point must not
@@ -271,3 +337,97 @@ class TestCompatible:
         m = NonnegMatrix([[1.0, 0.0], [1.0, 1.0]])
         nu = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
         assert not compatible(m, nu)
+
+
+def _reference_tropical_balance(block_log):
+    """Karp's recursion and the potential relaxation as plain loops over states."""
+    n = block_log.shape[0]
+    walk = np.zeros(n)
+    history = [walk]
+    for _ in range(n):
+        walk = np.max(walk[:, None] + block_log, axis=0)
+        history.append(walk)
+    final = history[n]
+    means = np.full(n, -math.inf)
+    for v in range(n):
+        if final[v] == -math.inf:
+            continue
+        best = math.inf
+        for k in range(n):
+            if history[k][v] == -math.inf:
+                continue
+            best = min(best, (final[v] - history[k][v]) / (n - k))
+        means[v] = best
+    mu = float(np.max(means))
+    weights = block_log - mu
+    p = np.zeros(n)
+    for _ in range(2 * n + 2):
+        relaxed = np.maximum(p, np.max(weights + p[None, :], axis=1))
+        if np.array_equal(relaxed, p):
+            break
+        p = relaxed
+    return mu, p
+
+
+class TestClassStep:
+    def _class_blocks(self, rng, count):
+        """Log-blocks of cyclic classes of random sparse matrices, entries in +-60."""
+        blocks = []
+        while len(blocks) < count:
+            d = int(rng.integers(1, 10))
+            log_m = rng.uniform(-60.0, 60.0, size=(d, d))
+            log_m[rng.random((d, d)) < float(rng.uniform(0.2, 0.7))] = -math.inf
+            dec = spectral._decompose(log_m > -math.inf, range(d))
+            for cls, cyclic in zip(dec.classes, dec.cyclic):
+                if cyclic:
+                    blocks.append(log_m[np.ix_(cls, cls)])
+        return blocks
+
+    def test_tropical_balance_bit_identical_to_loops(self, rng):
+        for block in self._class_blocks(rng, 400):
+            mu, p = spectral._tropical_balance(block)
+            want_mu, want_p = _reference_tropical_balance(block)
+            assert mu.hex() == want_mu.hex()
+            assert p.tobytes() == want_p.tobytes()
+
+    def test_memo_hits_equal_recomputation(self, rng):
+        """Cold and warm memo give the same bytes, interleaved with other blocks."""
+        log_ms = [safe_log(random_matrix(rng, int(rng.integers(2, 8)), density=0.6)) for _ in range(30)]
+
+        def outputs(log_m, cold):
+            if cold:
+                spectral._memo_right_step.cache_clear()
+            located = spectral.dominant_class(log_m)
+            if located is None:
+                return None
+            if cold:
+                spectral._memo_right_step.cache_clear()
+            data = perron_from_log(log_m, located[1], located[0])
+            index, states, root = located
+            return index, states, root.hex(), data.log_lam.hex(), data.left.tobytes(), data.right.tobytes(), data
+
+        cold = [outputs(log_m, cold=True) for log_m in log_ms]
+        warm = [outputs(log_m, cold=False) for log_m in log_ms + log_ms[::-1]]
+        assert spectral._memo_right_step.cache_info().hits > 0
+        for got, want in zip(warm, cold + cold[::-1]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[:6] == want[:6]
+                assert not got[6].left.flags.writeable and not got[6].right.flags.writeable
+
+    def test_memo_returns_read_only_arrays(self):
+        spectral._memo_right_step.cache_clear()
+        block = np.array([[0.0, 1.0], [2.0, -math.inf]])
+        for _ in range(2):  # a miss, then a hit
+            mu, pot, lam, right = spectral._class_step(block)
+            assert not pot.flags.writeable and not right.flags.writeable
+        assert spectral._memo_right_step.cache_info().hits == 1
+
+    def test_memo_holds_a_bounded_number_of_small_blocks(self):
+        spectral._memo_right_step.cache_clear()
+        big = np.zeros((spectral._MEMO_MAX_STATES + 1,) * 2)
+        spectral._class_step(big)
+        assert spectral._memo_right_step.cache_info().currsize == 0
+        for k in range(spectral._MEMO_ENTRIES + 5):
+            spectral._class_step(np.array([[float(k)]]))
+        assert spectral._memo_right_step.cache_info().currsize == spectral._MEMO_ENTRIES
