@@ -7,13 +7,14 @@ flags produce byte-identical output.  Infinite values are rendered as the
 strings ``"inf"`` / ``"-inf"``.  The certificate always echoes the SHA-256 of
 the input file.
 
-Exit codes:
+Exit codes, for any input bytes (exits 0 and 1 write nothing to stderr):
 
 * 0 -- the computation ran and every certification in it passed;
 * 1 -- the computation ran but a certification failed (negative slack beyond
   tolerance, attainment residual above tolerance, oracle gap too large);
 * 2 -- the input was rejected (unreadable file, malformed JSON, schema or
-  domain errors) or the command/kind combination is unknown.
+  domain errors, flags out of range) or the command/kind combination is
+  unknown; stdout is empty and stderr says why.
 
 Problem files carry a ``kind`` discriminator::
 
@@ -24,9 +25,9 @@ Supported kinds: ``iid_divergence``, ``iid_variational``, ``iid_acd``,
 ``markov_rate``, ``markov_variational``, ``markov_acd``, ``growth``,
 ``oracle``.  Vectors are lists of numbers, pair measures and edge functions
 are lists of rows; JSON strings and booleans are not numbers.  ``options``
-holds integers such as ``n_max`` or ``trials``; ``--seed`` feeds the
-random-search oracle; ``--tol`` overrides the pass threshold of whichever
-certification the command performs.
+holds integers such as ``n_max`` or ``trials``; ``--seed`` (an integer >= 0)
+feeds the random-search oracle; ``--tol`` (a finite number >= 0) overrides
+the pass threshold of whichever certification the command performs.
 
 The options bound the work of a run: a negative value, or one above its
 limit, is rejected (exit 2) before any work starts.  The limits are
@@ -42,7 +43,9 @@ import hashlib
 import json
 import math
 import sys
-from typing import Any
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -50,7 +53,6 @@ from . import __version__
 from .config import TOL
 from .distributions import Alpha, Dist, abs_cont, rel_entropy, renyi_div
 from .errors import InputValidationError, RenyiVarError
-from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, rel_entropy_rate, renyi_rate
 from .markov_variational import (
     EdgeFn,
@@ -81,17 +83,6 @@ MAX_N_MAX = 10_000
 MAX_TRIALS = 20_000
 MAX_HILL_STEPS = 5_000
 
-_KINDS = {
-    "iid_divergence",
-    "iid_variational",
-    "iid_acd",
-    "markov_rate",
-    "markov_variational",
-    "markov_acd",
-    "growth",
-    "oracle",
-}
-
 
 # ---------------------------------------------------------------------------
 # Deterministic rendering
@@ -109,16 +100,10 @@ def _render_float(x: float) -> str:
 
 
 def _render_json(value: Any) -> str:
-    if isinstance(value, str):
+    if value is None or isinstance(value, (str, int)):  # bool is an int subclass
         return json.dumps(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _render_float(value)
-    if value is None:
-        return "null"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_render_json(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -128,14 +113,8 @@ def _render_json(value: Any) -> str:
 
 
 def _render_csv_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise InputValidationError("certificates never contain NaN")
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
+    if isinstance(value, (bool, float)):
+        return _render_json(value).strip('"')
     return str(value)
 
 
@@ -174,26 +153,39 @@ def _is_number(raw: Any) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
-def _as_array(raw: Any, field: str, ndim: int, shape: str) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # non-numeric, ragged, beyond float range
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        raise InputValidationError(f"field '{field}' must be {shape}")
-    # numpy also converts strings such as "0.5" and booleans: reject those
-    entries = raw if ndim == 1 else [x for row in raw for x in row]
-    if not all(map(_is_number, entries)):
-        raise InputValidationError(f"field '{field}' must be {shape}")
-    return arr
+@dataclass(frozen=True)
+class _Family:
+    """How the problems of one family read their fields, and what they certify by default."""
+
+    ndim: int
+    shape: str
+    measure: type  # Dist or PairMeasure
+    fn: type  # BoundedFn or EdgeFn
+    tol: float  # default attainment tolerance of the family's solvers and certificates
+
+    def array(self, problem: dict, field: str) -> np.ndarray:
+        raw = _require(problem, field)
+        try:
+            arr = np.asarray(raw, dtype=float)
+        except (ValueError, TypeError, OverflowError):  # non-numeric, ragged, beyond float range
+            arr = None
+        if arr is None or arr.ndim != self.ndim:
+            raise InputValidationError(f"field '{field}' must be {self.shape}")
+        # numpy also converts strings such as "0.5" and booleans: reject those
+        entries = raw if self.ndim == 1 else [x for row in raw for x in row]
+        if not all(map(_is_number, entries)):
+            raise InputValidationError(f"field '{field}' must be {self.shape}")
+        return arr
+
+    def read(self, problem: dict, field: str) -> Any:
+        """Field ``g`` as the family's function, any other field as its measure."""
+        return (self.fn if field == "g" else self.measure)(self.array(problem, field))
 
 
-def _as_vector(raw: Any, field: str) -> np.ndarray:
-    return _as_array(raw, field, 1, "a flat list of numbers")
-
-
-def _as_matrix(raw: Any, field: str) -> np.ndarray:
-    return _as_array(raw, field, 2, "a list of equal-length rows of numbers")
+_IID = _Family(1, "a flat list of numbers", Dist, BoundedFn, TOL.attainment_iid)
+_MARKOV = _Family(
+    2, "a list of equal-length rows of numbers", PairMeasure, EdgeFn, TOL.attainment_markov
+)
 
 
 def _as_alpha(problem: dict) -> Alpha:
@@ -205,14 +197,6 @@ def _as_alpha(problem: dict) -> Alpha:
     except OverflowError:  # a JSON integer beyond the float range
         raise InputValidationError("field 'alpha' is beyond the floating-point range") from None
     return Alpha(value)
-
-
-def _as_dist(problem: dict, field: str) -> Dist:
-    return Dist(_as_vector(_require(problem, field), field))
-
-
-def _as_pair(problem: dict, field: str) -> PairMeasure:
-    return PairMeasure(_as_matrix(_require(problem, field), field))
 
 
 def _option(problem: dict, name: str, default: int, limit: int) -> int:
@@ -227,48 +211,84 @@ def _option(problem: dict, name: str, default: int, limit: int) -> int:
     return raw
 
 
-def _ext(value: ExtReal) -> float:
-    return value.raw
-
-
 # ---------------------------------------------------------------------------
-# Command handlers (each returns the certificate body and its pass verdict)
+# Handlers, one per problem shape; ``_COMMANDS`` binds the family and library
+# calls.  Each takes (problem, --tol or None, --seed) and returns the
+# certificate body and its pass verdict.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_div(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
+def _divergences(family: _Family, renyi: Callable, entropy: Callable, cont: Callable,
+                 names: tuple[str, str], problem: dict, tol: float | None,
+                 seed: int) -> tuple[dict, bool]:
     alpha = _as_alpha(problem)
-    nu = _as_dist(problem, "nu")
-    theta = _as_dist(problem, "theta")
-    results = {
-        "renyi_divergence": _ext(renyi_div(alpha, nu, theta)),
-        "rel_entropy": _ext(rel_entropy(nu, theta)),
-        "abs_cont": abs_cont(nu, theta),
-    }
-    return {"alpha": alpha.value, "results": results}, True
+    nu, theta = family.read(problem, "nu"), family.read(problem, "theta")
+    values = (renyi(alpha, nu, theta).raw, entropy(nu, theta).raw, cont(nu, theta))
+    return {"alpha": alpha.value, "results": dict(zip((*names, "abs_cont"), values))}, True
 
 
-def _cmd_rate(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
+def _values(measure: Dist | PairMeasure) -> np.ndarray:
+    return measure.weights if isinstance(measure, Dist) else measure.entries
+
+
+# The certificate fields a solution may report, by name.
+_SOLUTION_FIELDS = {
+    "value": lambda s: s.value.raw,
+    "regime": lambda s: s.regime,
+    "residual": lambda s: s.residual,
+    "class_used": lambda s: None if s.class_used is None else list(s.class_used),
+    "log_perron_root": lambda s: None if s.perron is None else s.perron.log_lam,
+    "optimizer": lambda s: None if s.optimizer is None else _values(s.optimizer).tolist(),
+}
+
+
+def _attained(family: _Family, alpha: Alpha, solution: Any, fields: tuple[str, ...],
+              tol: float | None, results: dict) -> tuple[dict, bool]:
+    """A solution's fields, in certificate order after ``results``; passes on a small residual."""
+    results.update((name, _SOLUTION_FIELDS[name](solution)) for name in fields)
+    passed = solution.residual <= (family.tol if tol is None else tol)
+    return {"alpha": alpha.value, "results": results}, passed
+
+
+def _solve(family: _Family, solver: Callable, fields: tuple[str, ...],
+           problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
     alpha = _as_alpha(problem)
-    nu = _as_pair(problem, "nu")
-    theta = _as_pair(problem, "theta")
-    results = {
-        "renyi_rate": _ext(renyi_rate(alpha, nu, theta)),
-        "rel_entropy_rate": _ext(rel_entropy_rate(nu, theta)),
-        "abs_cont": abs_cont_pair(nu, theta),
-    }
-    return {"alpha": alpha.value, "results": results}, True
+    nu, theta = family.read(problem, "nu"), family.read(problem, "theta")
+    return _attained(family, alpha, solver(alpha, nu, theta), fields, tol, {})
 
 
-def _cmd_growth(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
-    matrix = NonnegMatrix(_as_matrix(_require(problem, "m"), "m"))
+def _solve_acd(family: _Family, sup: Callable, inf: Callable, fields: tuple[str, ...],
+               problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
+    alpha = _as_alpha(problem)
+    direction = problem.get("direction", "sup")
+    g = family.read(problem, "g")
+    if direction == "sup":
+        solution = sup(alpha, g, family.read(problem, "theta"))
+    elif direction == "inf":
+        solution = inf(alpha, g, family.read(problem, "nu"))
+    else:
+        raise InputValidationError("field 'direction' must be 'sup' or 'inf'")
+    return _attained(family, alpha, solution, fields, tol, {"direction": direction})
+
+
+def _certify(family: _Family, certifier: Callable, operands: tuple[str, ...],
+             problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
+    alpha = _as_alpha(problem)
+    effective = family.tol if tol is None else tol
+    result = certifier(alpha, *(family.read(problem, field) for field in operands), tol=effective)
+    results = {"slack": result.slack, "tolerance": effective}
+    return {"alpha": alpha.value, "results": results}, result.passed
+
+
+def _growth(problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
+    matrix = NonnegMatrix(_MARKOV.array(problem, "m"))
     n_max = _option(problem, "n_max", 0, MAX_N_MAX)
     spectral_rate = growth_rate(matrix)
-    results: dict[str, Any] = {"growth_rate": _ext(spectral_rate)}
+    results: dict[str, Any] = {"growth_rate": spectral_rate.raw}
     if n_max:
         brute = growth_rate_bruteforce(matrix, n_max)
         results["bruteforce_n"] = n_max
-        results["bruteforce_value"] = _ext(brute)
+        results["bruteforce_value"] = brute.raw
         if spectral_rate.raw == brute.raw:
             results["gap"] = 0.0
         else:
@@ -276,150 +296,18 @@ def _cmd_growth(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
     return {"results": results}, True
 
 
-def _solve_iid_variational(problem: dict, tol: float) -> tuple[dict, bool]:
+def _rate_oracle(problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
     alpha = _as_alpha(problem)
-    nu = _as_dist(problem, "nu")
-    theta = _as_dist(problem, "theta")
-    solution = solve_variational(alpha, nu, theta)
-    results = {
-        "value": _ext(solution.value),
-        "regime": solution.regime,
-        "residual": solution.residual,
-        "optimizer": None if solution.optimizer is None else solution.optimizer.weights.tolist(),
-    }
-    passed = solution.residual <= tol
-    return {"alpha": alpha.value, "results": results}, passed
-
-
-def _solve_markov_variational(problem: dict, tol: float) -> tuple[dict, bool]:
-    alpha = _as_alpha(problem)
-    nu = _as_pair(problem, "nu")
-    theta = _as_pair(problem, "theta")
-    solution = solve_markov_variational(alpha, nu, theta)
-    optimizer = solution.optimizer
-    results = {
-        "value": _ext(solution.value),
-        "residual": solution.residual,
-        "class_used": None if solution.class_used is None else list(solution.class_used),
-        "log_perron_root": None if solution.perron is None else solution.perron.log_lam,
-        "optimizer": None if optimizer is None else optimizer.entries.tolist(),
-    }
-    passed = solution.residual <= tol
-    return {"alpha": alpha.value, "results": results}, passed
-
-
-def _solve_iid_acd(problem: dict, tol: float) -> tuple[dict, bool]:
-    alpha = _as_alpha(problem)
-    direction = problem.get("direction", "sup")
-    g = BoundedFn(_as_vector(_require(problem, "g"), "g"))
-    if direction == "sup":
-        solution = acd_sup(alpha, g, _as_dist(problem, "theta"))
-    elif direction == "inf":
-        solution = acd_inf(alpha, g, _as_dist(problem, "nu"))
-    else:
-        raise InputValidationError("field 'direction' must be 'sup' or 'inf'")
-    results = {
-        "direction": direction,
-        "value": _ext(solution.value),
-        "residual": solution.residual,
-        "optimizer": None if solution.optimizer is None else solution.optimizer.weights.tolist(),
-    }
-    return {"alpha": alpha.value, "results": results}, solution.residual <= tol
-
-
-def _solve_markov_acd(problem: dict, tol: float) -> tuple[dict, bool]:
-    alpha = _as_alpha(problem)
-    direction = problem.get("direction", "sup")
-    g = EdgeFn(_as_matrix(_require(problem, "g"), "g"))
-    if direction == "sup":
-        solution = markov_acd_sup(alpha, g, _as_pair(problem, "theta"))
-    elif direction == "inf":
-        solution = markov_acd_inf(alpha, g, _as_pair(problem, "nu"))
-    else:
-        raise InputValidationError("field 'direction' must be 'sup' or 'inf'")
-    optimizer = solution.optimizer
-    results = {
-        "direction": direction,
-        "value": _ext(solution.value),
-        "residual": solution.residual,
-        "class_used": None if solution.class_used is None else list(solution.class_used),
-        "optimizer": None if optimizer is None else optimizer.entries.tolist(),
-    }
-    return {"alpha": alpha.value, "results": results}, solution.residual <= tol
-
-
-def _cmd_solve(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
-    kind = problem["kind"]
-    handlers = {
-        "iid_variational": (_solve_iid_variational, TOL.attainment_iid),
-        "markov_variational": (_solve_markov_variational, TOL.attainment_markov),
-        "iid_acd": (_solve_iid_acd, TOL.attainment_iid),
-        "markov_acd": (_solve_markov_acd, TOL.attainment_markov),
-    }
-    if kind not in handlers:
-        raise InputValidationError(f"command 'solve' does not accept kind '{kind}'")
-    handler, default_tol = handlers[kind]
-    return handler(problem, tol if tol is not None else default_tol)
-
-
-def _cmd_certify(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
-    kind = problem["kind"]
-    alpha = _as_alpha(problem)
-    if kind == "iid_variational":
-        effective = tol if tol is not None else TOL.attainment_iid
-        result = certify_inequality(
-            alpha,
-            _as_dist(problem, "mu"),
-            _as_dist(problem, "nu"),
-            _as_dist(problem, "theta"),
-            tol=effective,
-        )
-    elif kind == "markov_variational":
-        effective = tol if tol is not None else TOL.attainment_markov
-        result = certify_markov_inequality(
-            alpha,
-            _as_pair(problem, "mu"),
-            _as_pair(problem, "nu"),
-            _as_pair(problem, "theta"),
-            tol=effective,
-        )
-    elif kind == "iid_acd":
-        effective = tol if tol is not None else TOL.attainment_iid
-        result = acd_certify(
-            alpha,
-            BoundedFn(_as_vector(_require(problem, "g"), "g")),
-            _as_dist(problem, "nu"),
-            _as_dist(problem, "theta"),
-            tol=effective,
-        )
-    elif kind == "markov_acd":
-        effective = tol if tol is not None else TOL.attainment_markov
-        result = certify_markov_acd(
-            alpha,
-            EdgeFn(_as_matrix(_require(problem, "g"), "g")),
-            _as_pair(problem, "nu"),
-            _as_pair(problem, "theta"),
-            tol=effective,
-        )
-    else:
-        raise InputValidationError(f"command 'certify' does not accept kind '{kind}'")
-    results = {"slack": result.slack, "tolerance": effective}
-    return {"alpha": alpha.value, "results": results}, result.passed
-
-
-def _oracle_markov_rate(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
-    alpha = _as_alpha(problem)
-    nu = _as_pair(problem, "nu")
-    theta = _as_pair(problem, "theta")
+    nu, theta = _MARKOV.read(problem, "nu"), _MARKOV.read(problem, "theta")
     n_max = _option(problem, "n_max", 200, MAX_N_MAX)
     effective = tol if tol is not None else 1e-6
     renyi_report = renyi_rate_oracle(alpha, nu, theta, n_max=n_max, mode="difference")
     entropy_report = rel_entropy_rate_oracle(nu, theta, n_max=n_max, mode="difference")
     results = {
         "n_max": n_max,
-        "renyi_rate_claim": _ext(renyi_report.limit_claim),
+        "renyi_rate_claim": renyi_report.limit_claim.raw,
         "renyi_rate_final_gap": renyi_report.final_gap,
-        "rel_entropy_rate_claim": _ext(entropy_report.limit_claim),
+        "rel_entropy_rate_claim": entropy_report.limit_claim.raw,
         "rel_entropy_rate_final_gap": entropy_report.final_gap,
         "tolerance": effective,
     }
@@ -427,32 +315,32 @@ def _oracle_markov_rate(problem: dict, tol: float, seed: int) -> tuple[dict, boo
     return {"alpha": alpha.value, "results": results}, passed
 
 
-def _oracle_random_search(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
+_SEARCH_TARGETS = {
+    "iid_variational": (_IID, IIDVariationalProblem),
+    "markov_variational": (_MARKOV, MarkovVariationalProblem),
+}
+
+
+def _search_oracle(problem: dict, tol: float | None, seed: int) -> tuple[dict, bool]:
     target_kind = _require(problem, "problem")
     alpha = _as_alpha(problem)
     trials = _option(problem, "trials", 2000, MAX_TRIALS)
     hill_steps = _option(problem, "hill_steps", 200, MAX_HILL_STEPS)
     effective = tol if tol is not None else 1e-8
-    if target_kind == "iid_variational":
-        descriptor: IIDVariationalProblem | MarkovVariationalProblem = IIDVariationalProblem(
-            alpha, _as_dist(problem, "nu"), _as_dist(problem, "theta")
-        )
-    elif target_kind == "markov_variational":
-        descriptor = MarkovVariationalProblem(
-            alpha, _as_pair(problem, "nu"), _as_pair(problem, "theta")
-        )
-    else:
+    if not isinstance(target_kind, str) or target_kind not in _SEARCH_TARGETS:
         raise InputValidationError(
             "field 'problem' must be 'iid_variational' or 'markov_variational'"
         )
+    family, descriptor = _SEARCH_TARGETS[target_kind]
     report = random_search_extremum(
-        descriptor, trials=trials, seed=seed, hill_steps=hill_steps, tol=effective
+        descriptor(alpha, family.read(problem, "nu"), family.read(problem, "theta")),
+        trials=trials, seed=seed, hill_steps=hill_steps, tol=effective,
     )
     results = {
         "problem": target_kind,
         "trials": report.trials,
         "seed": report.seed,
-        "target": _ext(report.target),
+        "target": report.target.raw,
         "best_sampled": report.best_sampled,
         "best_refined": report.best_refined,
         "margin": report.margin,
@@ -462,23 +350,47 @@ def _oracle_random_search(problem: dict, tol: float, seed: int) -> tuple[dict, b
     return {"alpha": alpha.value, "results": results}, report.passed
 
 
-def _cmd_oracle(problem: dict, tol: float, seed: int) -> tuple[dict, bool]:
-    kind = problem["kind"]
-    if kind == "markov_rate":
-        return _oracle_markov_rate(problem, tol, seed)
-    if kind == "oracle":
-        return _oracle_random_search(problem, tol, seed)
-    raise InputValidationError(f"command 'oracle' does not accept kind '{kind}'")
+_VARIATIONAL = ("mu", "nu", "theta")
+_ACD = ("g", "nu", "theta")
 
-
-_COMMANDS = {
-    "div": (_cmd_div, {"iid_divergence"}),
-    "rate": (_cmd_rate, {"markov_rate"}),
-    "growth": (_cmd_growth, {"growth"}),
-    "solve": (_cmd_solve, {"iid_variational", "markov_variational", "iid_acd", "markov_acd"}),
-    "certify": (_cmd_certify, {"iid_variational", "markov_variational", "iid_acd", "markov_acd"}),
-    "oracle": (_cmd_oracle, {"markov_rate", "oracle"}),
+# command -> kind -> handler: the one place that says which kinds a command accepts.
+_COMMANDS: dict[str, dict[str, Callable[[dict, float | None, int], tuple[dict, bool]]]] = {
+    "div": {
+        "iid_divergence": partial(
+            _divergences, _IID, renyi_div, rel_entropy, abs_cont, ("renyi_divergence", "rel_entropy")
+        ),
+    },
+    "rate": {
+        "markov_rate": partial(
+            _divergences, _MARKOV, renyi_rate, rel_entropy_rate, abs_cont_pair,
+            ("renyi_rate", "rel_entropy_rate"),
+        ),
+    },
+    "growth": {"growth": _growth},
+    "solve": {
+        "iid_variational": partial(
+            _solve, _IID, solve_variational, ("value", "regime", "residual", "optimizer")
+        ),
+        "markov_variational": partial(
+            _solve, _MARKOV, solve_markov_variational,
+            ("value", "residual", "class_used", "log_perron_root", "optimizer"),
+        ),
+        "iid_acd": partial(_solve_acd, _IID, acd_sup, acd_inf, ("value", "residual", "optimizer")),
+        "markov_acd": partial(
+            _solve_acd, _MARKOV, markov_acd_sup, markov_acd_inf,
+            ("value", "residual", "class_used", "optimizer"),
+        ),
+    },
+    "certify": {
+        "iid_variational": partial(_certify, _IID, certify_inequality, _VARIATIONAL),
+        "markov_variational": partial(_certify, _MARKOV, certify_markov_inequality, _VARIATIONAL),
+        "iid_acd": partial(_certify, _IID, acd_certify, _ACD),
+        "markov_acd": partial(_certify, _MARKOV, certify_markov_acd, _ACD),
+    },
+    "oracle": {"markov_rate": _rate_oracle, "oracle": _search_oracle},
 }
+
+_KINDS = {kind for kinds in _COMMANDS.values() for kind in kinds}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -507,8 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    handler, allowed_kinds = _COMMANDS[args.command]
+    handlers = _COMMANDS[args.command]
     try:
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise InputValidationError(f"--tol must be a finite number >= 0, not {args.tol!r}")
+        if args.seed < 0:
+            raise InputValidationError(f"--seed must be an integer >= 0, not {args.seed}")
         with open(args.file, "rb") as fh:
             raw = fh.read()
         try:
@@ -524,9 +440,10 @@ def main(argv: list[str] | None = None) -> int:
         kind = _require(problem, "kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise InputValidationError(f"unknown kind '{kind}'")
-        if kind not in allowed_kinds:
+        if kind not in handlers:
             raise InputValidationError(f"command '{args.command}' does not accept kind '{kind}'")
-        body, passed = handler(problem, args.tol, args.seed)
+        with np.errstate(all="ignore"):  # overflow shows in the certificate, not on stderr
+            body, passed = handlers[kind](problem, args.tol, args.seed)
     except OSError as exc:
         print(f"error: cannot read '{args.file}': {exc.strerror}", file=sys.stderr)
         return 2

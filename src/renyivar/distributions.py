@@ -73,7 +73,10 @@ class Dist:
             raise InvalidDistributionError("weights must be finite")
         if np.any(w < 0):
             raise InvalidDistributionError("weights must be nonnegative")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if not math.isfinite(total):
+            raise InvalidDistributionError("the total of the weights overflows")
         if total <= 0.0:
             raise InvalidDistributionError("weights must not be identically zero")
         w = w / total

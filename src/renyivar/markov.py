@@ -86,7 +86,10 @@ class PairMeasure:
             raise InvalidDistributionError("pair-measure entries must be finite")
         if np.any(m < 0):
             raise InvalidDistributionError("pair-measure entries must be nonnegative")
-        total = float(m.sum())
+        with np.errstate(over="ignore"):
+            total = float(m.sum())
+        if not math.isfinite(total):
+            raise InvalidDistributionError("the total mass of the pair measure overflows")
         if total <= 0.0:
             raise InvalidDistributionError("a pair measure must have positive total mass")
         m = m / total

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Alpha, Dist, _feasible_support, rel_entropy, renyi_div
+from .distributions import Alpha, Dist, _check_dims, _feasible_support, rel_entropy, renyi_div
 from .errors import InputValidationError
 from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, kernel, rel_entropy_rate, renyi_rate
@@ -235,6 +235,9 @@ class IIDVariationalProblem:
     nu: Dist
     theta: Dist
 
+    def __post_init__(self) -> None:
+        _check_dims(self.nu, self.theta)
+
 
 @dataclass(frozen=True)
 class MarkovVariationalProblem:
@@ -243,6 +246,9 @@ class MarkovVariationalProblem:
     alpha: Alpha
     nu: PairMeasure
     theta: PairMeasure
+
+    def __post_init__(self) -> None:
+        _check_dims(self.nu, self.theta)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renyivar.cli import MAX_HILL_STEPS, MAX_N_MAX, MAX_TRIALS, main
 
@@ -133,6 +136,9 @@ class TestExitCodes:
             ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": ["0.5", "0.5"], "theta": [" 0.25 ", 0.75]}'),
             ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": [true, false], "theta": [0.5, 0.5]}'),
             ("rate", '{"kind": "markov_rate", "alpha": 2, "nu": [[0.5, 0], [0, "0.5"]], "theta": [[1]]}'),
+            ("div", '{"kind": "iid_divergence", "alpha": 2, "nu": [1e308, 1e308], "theta": [0.25, 0.75]}'),
+            ("oracle", '{"kind": "oracle", "problem": "iid_variational", "alpha": 0.5, "nu": [0.5, 0.5], '
+                       '"theta": [0.2, 0.3, 0.5], "options": {"trials": 5, "hill_steps": 1}}'),
         ],
         ids=[
             "non_numeric_entry",
@@ -146,6 +152,8 @@ class TestExitCodes:
             "string_entries",
             "boolean_entries",
             "string_matrix_entry",
+            "total_overflows",
+            "search_dimension_mismatch",
         ],
     )
     def test_exit_two_on_unparseable_values(self, tmp_path, command, text):
@@ -174,7 +182,166 @@ class TestExitCodes:
         assert code == 2 and out == b""
         assert err.startswith(f"error: option '{option}'")
 
+    @pytest.mark.parametrize(
+        "command, fixture, flag",
+        [
+            ("certify", "certify_iid.json", "--tol=nan"),
+            ("solve", "solve_iid.json", "--tol=nan"),
+            ("certify", "certify_iid.json", "--tol=-1"),
+            ("solve", "solve_iid.json", "--tol=inf"),
+            ("div", "div_basic.json", "--tol=-1e-300"),
+            ("oracle", "oracle_search.json", "--seed=-1"),
+        ],
+    )
+    def test_exit_two_on_flag_out_of_domain(self, command, fixture, flag):
+        code, out, err = run_cli(command, str(DATA / fixture), flag)
+        assert code == 2 and out == b""
+        assert err.startswith(f"error: {flag.split('=')[0]} must be")
+
+    def test_no_warnings_on_stderr_when_certified(self, tmp_path):
+        # exp(a g) overflows and log(0) occurs on the way; the certificate still holds
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "iid_acd", "alpha": 0.9, "direction": "sup",
+                                       "g": [1e300, 1.0], "theta": [0.5, 0.5]}))
+        code, out, err = run_contained(["solve", str(problem)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"]["value"] == 1e300
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate", str(DATA / "div_basic.json"))
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over arbitrary JSON
+# ---------------------------------------------------------------------------
+
+IID = {"alpha": 2.0, "nu": [0.5, 0.5], "theta": [0.25, 0.75]}
+PAIR = {"alpha": 2.0, "nu": [[0.25, 0.25], [0.25, 0.25]], "theta": [[0.09, 0.21], [0.21, 0.49]]}
+
+# One valid problem per (command, kind) pair, plus the fixture files.
+BASE_PROBLEMS = [
+    ("div", {"kind": "iid_divergence", **IID}),
+    ("rate", {"kind": "markov_rate", **PAIR}),
+    ("growth", {"kind": "growth", "m": [[0.0, 2.0], [2.0, 0.5]], "options": {"n_max": 8}}),
+    ("solve", {"kind": "iid_variational", **IID}),
+    ("solve", {"kind": "markov_variational", **PAIR}),
+    ("solve", {"kind": "iid_acd", "direction": "inf", "g": [0.5, -1.0], **IID}),
+    ("solve", {"kind": "markov_acd", "direction": "sup", "g": [[0.5, -1.0], [1.0, 0.0]], **PAIR}),
+    ("certify", {"kind": "iid_variational", "mu": [0.3, 0.7], **IID}),
+    ("certify", {"kind": "markov_variational", "mu": [[0.4, 0.1], [0.1, 0.4]], **PAIR}),
+    ("certify", {"kind": "iid_acd", "g": [0.5, -1.0], **IID}),
+    ("certify", {"kind": "markov_acd", "g": [[0.5, -1.0], [1.0, 0.0]], **PAIR}),
+    ("oracle", {"kind": "markov_rate", **PAIR}),
+    ("oracle", {"kind": "oracle", "problem": "iid_variational", **IID}),
+    ("oracle", {"kind": "oracle", "problem": "markov_variational", **PAIR}),
+] + [
+    (command, json.loads((DATA / fixture).read_text()))
+    for command, fixture in [
+        ("div", "div_basic.json"),
+        ("div", "div_inf.json"),
+        ("div", "dim_mismatch.json"),
+        ("growth", "growth_cycle.json"),
+        ("solve", "solve_iid.json"),
+        ("solve", "solve_markov_acd.json"),
+        ("certify", "certify_iid.json"),
+        ("oracle", "oracle_rate.json"),
+        ("oracle", "oracle_search.json"),
+    ]
+]
+
+# Integer options are capped (and absent ones set) to these, so oracle runs take milliseconds.
+OPTION_CAPS = {"n_max": 12, "trials": 12, "hill_steps": 4}
+
+COMMANDS = ["div", "rate", "growth", "solve", "certify", "oracle"]
+KINDS = ["iid_divergence", "iid_variational", "iid_acd", "markov_rate",
+         "markov_variational", "markov_acd", "growth", "oracle"]
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+numbers = st.floats() | st.integers(min_value=-(10**20), max_value=10**20)
+arrays = st.lists(numbers, min_size=1, max_size=3) | st.lists(
+    st.lists(numbers, min_size=1, max_size=3), min_size=1, max_size=3
+)
+
+
+@st.composite
+def mutated_problems(draw):
+    command, problem = draw(st.sampled_from(BASE_PROBLEMS))
+    problem = dict(problem)
+    fields = sorted(problem) + ["kind", "options", "direction", "problem", "extra"]
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(fields))
+        action = draw(st.sampled_from(["delete", "replace", "kind", "entry"]))
+        if action == "delete":
+            problem.pop(field, None)
+        elif action == "replace":
+            problem[field] = draw(json_values | arrays)
+        elif action == "kind":
+            problem["kind"] = draw(st.sampled_from(KINDS))
+        elif isinstance(problem.get(field), list) and problem[field]:
+            rows = [list(row) if isinstance(row, list) else row for row in problem[field]]
+            i = draw(st.integers(0, len(rows) - 1))
+            if isinstance(rows[i], list) and rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(numbers | json_scalars)
+            else:
+                rows[i] = draw(numbers | json_scalars)
+            problem[field] = rows
+    options = problem.get("options", {})
+    if isinstance(options, dict):
+        problem["options"] = dict(options)
+        for name, cap in OPTION_CAPS.items():
+            value = options.get(name, cap)
+            if type(value) is int:  # not a bool: those must stay to be rejected
+                problem["options"][name] = min(value, cap)
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(COMMANDS))
+    flags = []
+    if draw(st.booleans()):
+        flags.append("--csv")
+    if draw(st.booleans()):
+        flags.append(f"--tol={draw(st.floats() | st.sampled_from([0.0, 1e-30, 1e-3]))!r}")
+    if draw(st.booleans()):
+        flags.append(f"--seed={draw(st.integers(min_value=-5, max_value=2**40))}")
+    return command, json.dumps(problem), flags
+
+
+def run_contained(argv: list[str]) -> tuple[int, str, str]:
+    """Run main as a process would: argparse exits count as exit codes, warnings go to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), shown + err.getvalue()
+
+
+class TestExitCodeContract:
+    @settings(max_examples=800, deadline=None)
+    @given(case=mutated_problems())
+    @example(case=("certify", (DATA / "certify_iid.json").read_text(), ["--tol=nan"]))
+    @example(case=("oracle", (DATA / "oracle_search.json").read_text(), ["--seed=-1"]))
+    @example(case=("div", json.dumps({"kind": "iid_divergence", **IID, "nu": [1e308, 1e308]}), []))
+    def test_exit_codes_hold_for_any_json(self, tmp_path_factory, case):
+        command, text, flags = case
+        path = tmp_path_factory.getbasetemp() / "contract_problem.json"
+        path.write_text(text)
+        code, out, err = run_contained([command, str(path), *flags])
+        assert code in (0, 1, 2)
+        if code == 2:  # argparse rejections print their usage first
+            assert out == "" and err.startswith(("error:", "usage:")), err
+            return
+        assert err == ""
+        if "--csv" in flags:
+            verdict = dict(line.split(",", 1) for line in out.splitlines())["pass"]
+        else:
+            verdict = json.dumps(json.loads(out)["pass"])
+        assert verdict == ("true" if code == 0 else "false")

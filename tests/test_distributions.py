@@ -58,6 +58,11 @@ class TestDistConstruction:
         with pytest.raises(InvalidDistributionError):
             Dist([math.inf, 1.0])
 
+    def test_rejects_overflowing_total(self):
+        # the total is inf: dividing by it used to leave an all-zero "distribution"
+        with pytest.raises(InvalidDistributionError):
+            Dist([1e308, 1e308])
+
     def test_weights_read_only(self):
         d = Dist([0.5, 0.5])
         with pytest.raises(ValueError):

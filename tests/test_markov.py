@@ -45,6 +45,10 @@ class TestPairMeasure:
         with pytest.raises(InvalidDistributionError):
             PairMeasure([[0.5, -0.1], [0.3, 0.3]])
 
+    def test_rejects_overflowing_total(self):
+        with pytest.raises(InvalidDistributionError):
+            PairMeasure([[1e308, 1e308], [1e308, 1e308]])
+
     def test_state_marginal(self):
         pm = PairMeasure(TWO_CYCLE)
         np.testing.assert_allclose(pm.state_marginal, [0.5, 0.5], atol=1e-15)

@@ -5,6 +5,7 @@ import pytest
 
 from renyivar import (
     Alpha,
+    DimensionMismatchError,
     Dist,
     EdgeFn,
     ExtReal,
@@ -205,6 +206,12 @@ class TestRandomSearch:
         a = random_search_extremum(problem, trials=200, seed=3, hill_steps=20)
         b = random_search_extremum(problem, trials=200, seed=3, hill_steps=20)
         assert a.best_sampled == b.best_sampled and a.best_refined == b.best_refined
+
+    def test_rejects_measures_of_different_sizes(self):
+        with pytest.raises(DimensionMismatchError):
+            IIDVariationalProblem(Alpha(2.0), Dist([0.5, 0.5]), Dist([0.2, 0.3, 0.5]))
+        with pytest.raises(DimensionMismatchError):
+            MarkovVariationalProblem(Alpha(2.0), FAIR_COIN, PairMeasure([[1.0]]))
 
     def test_rejects_zero_trials(self):
         nu = Dist([0.4, 0.6])
