@@ -11,25 +11,21 @@ with the same three regimes (sup over mu << nu for a > 1, inf over doubly
 dominated mu for 0 < a < 1, sup over mu << theta for a < 0), and the
 divergence rate of order ``a`` is the extremal value.
 
-Attaining measures are *eigenvector twists*: with ``M`` the tilted kernel
-matrix restricted to a maximizing cyclic class, ``u, w`` its left and right
-Perron vectors and ``lam`` its root, the pair measure
+Attaining measures are *eigenvector twists*, all built by one route,
+``_locate_and_twist``: locate the cyclic class on which a matrix ``N`` grows
+fastest (classes in smallest-state order, the first with the largest Perron
+root wins), and there form ``mu*(i, j) = u(i) M(i, j) w(j) / Z``, stationary
+for ``u, w`` the left and right Perron vectors of a matrix ``M``.  The
+completion of such a twist to the other classes of a reducible reference
+measure, where the problem needs mass on each of them, belongs in that route.
 
-    mu*(i, j) = u(i) M(i, j) w(j) / Z
-
-is stationary by the eigenvalue equations and attains the extremum.  The
-maximizing class is selected deterministically: classes are ordered by their
-smallest state, and the first class achieving the largest Perron root wins.
-
-The per-step tilt identities mirror the scalar ones: the growth rate of
-``[e^{g} mu(j|i)]`` is the supremum of ``sum g dtheta - rate(theta || mu)``
-(:func:`varadhan_solve`), and the order-``a`` pair links
-``(1/a) rho([e^{a g} theta(j|i)])`` with ``(1/(a-1)) rho([e^{(a-1) g}
-nu(j|i)])`` through the divergence rate, with the sup side attained by
-twisting ``[e^{g} theta(j|i)]`` on the class where the alpha-tilted matrix
-grows fastest (:func:`markov_acd_sup`, :func:`markov_acd_inf`,
-:func:`certify_markov_acd`), and two growth-rate identities tie the twisted
-measure back to both ambient matrices (:func:`rho_identities_check`).
+``N = M`` is the tilted kernel matrix for the divergence rate, and
+``[e^{g} mu(j|i)]`` for :func:`varadhan_solve`.  The order-``a`` tilt pair
+(:func:`markov_acd_sup`, :func:`markov_acd_inf`, :func:`certify_markov_acd`)
+links ``(1/a) rho(N)``, ``N = [e^{a g} theta(j|i)]``, with ``(1/(a-1))
+rho([e^{(a-1) g} nu(j|i)])`` through the divergence rate, the sup side
+twisting ``M = [e^{g} theta(j|i)]``; two growth-rate identities tie that
+twist back to both ambient matrices (:func:`rho_identities_check`).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import numpy as np
 
 from .config import TOL
 from .distributions import Alpha, _check_dims, _feasible_support
-from .errors import InfeasiblePointError, InputValidationError
+from .errors import InfeasiblePointError, InputValidationError, PerronConvergenceError
 from .extreal import POS_INF, ExtReal
 from .markov import (
     PairMeasure,
@@ -146,21 +142,30 @@ def markov_objective(alpha: Alpha, mu: PairMeasure, nu: PairMeasure, theta: Pair
     return _objective(alpha.value, mu, nu, theta)
 
 
-def _twist(log_m: np.ndarray, cls: tuple[int, ...], class_index: int) -> tuple[PairMeasure, PerronData]:
-    """The stationary pair measure u(i) M(i,j) w(j) / Z on one cyclic class."""
-    data = perron_from_log(log_m, cls, class_index)
+def _locate_and_twist(
+    log_locate: np.ndarray, log_twist: np.ndarray, divisor: float = 1.0
+) -> tuple[ExtReal, PairMeasure, tuple[int, ...], PerronData] | None:
+    """``(root of N / divisor, twist of M, class, Perron data of M)`` by the module docstring's
+    route, for ``N = exp(log_locate)`` and ``M = exp(log_twist)``; None if N is acyclic."""
+    located = dominant_class(log_locate)
+    if located is None:
+        return None
+    class_index, cls, root = located
+    data = perron_from_log(log_twist, cls, class_index)
     idx = np.asarray(cls, dtype=int)
-    block = log_m[np.ix_(idx, idx)]
+    block = log_twist[np.ix_(idx, idx)]
     log_u = np.log(data.left[idx])
     log_w = np.log(data.right[idx])
     log_weights = log_u[:, None] + block + log_w[None, :]
     log_z = logsumexp(log_weights)
-    entries = np.zeros_like(log_m)
+    entries = np.zeros_like(log_twist)
     finite = block > -math.inf
     sub = np.zeros_like(block)
     sub[finite] = np.exp(log_weights[finite] - log_z)
+    if not np.isfinite(sub).all():
+        raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
     entries[np.ix_(idx, idx)] = sub
-    return PairMeasure(entries), data
+    return ExtReal.finite(root / divisor), PairMeasure(entries), cls, data
 
 
 def _solve(a: float, nu: PairMeasure, theta: PairMeasure) -> MarkovVarSolution:
@@ -174,14 +179,12 @@ def _solve(a: float, nu: PairMeasure, theta: PairMeasure) -> MarkovVarSolution:
         residual = _attainment_residual(POS_INF, _objective(a, nu, nu, theta))
         return MarkovVarSolution(POS_INF, nu, None, None, residual)
     log_m = _tilted_log_kernel(a, nu, theta)
-    located = dominant_class(log_m)
-    if located is None:
+    twisted = _locate_and_twist(log_m, log_m, a * (a - 1.0))
+    if twisted is None:
         # 0 < a < 1 with no common cycle: the feasible set of doubly
         # dominated stationary measures is empty, the infimum is +inf.
         return MarkovVarSolution(POS_INF, None, None, None, 0.0)
-    class_index, cls, root = located
-    mu_star, data = _twist(log_m, cls, class_index)
-    value = ExtReal.finite(root / (a * (a - 1.0)))
+    value, mu_star, cls, data = twisted
     residual = _attainment_residual(value, _objective(a, mu_star, nu, theta))
     return MarkovVarSolution(value, mu_star, cls, data, residual)
 
@@ -252,11 +255,9 @@ def varadhan_solve(g: EdgeFn, mu: PairMeasure) -> MarkovVarSolution:
     """
     _check_dims(g, mu)
     log_m = _edge_tilt(g, mu)
-    located = dominant_class(log_m)
-    assert located is not None  # stationary supports always carry a cycle
-    class_index, cls, root = located
-    theta_star, data = _twist(log_m, cls, class_index)
-    value = ExtReal.finite(root)
+    twisted = _locate_and_twist(log_m, log_m)
+    assert twisted is not None  # stationary supports always carry a cycle
+    value, theta_star, cls, data = twisted
     attained_mean = float(np.sum(theta_star.entries * g.values))
     rate = rel_entropy_rate(theta_star, mu)
     attained = ExtReal.finite(attained_mean) - rate
@@ -273,13 +274,9 @@ def markov_acd_sup(alpha: Alpha, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolu
     """
     _check_dims(g, theta)
     a = alpha.value
-    log_n = _edge_tilt(g, theta, factor=a)
-    located = dominant_class(log_n)
-    assert located is not None
-    class_index, cls, root_n = located
-    log_m = _edge_tilt(g, theta)
-    nu_star, data = _twist(log_m, cls, class_index)
-    value = ExtReal.finite(root_n / a)
+    twisted = _locate_and_twist(_edge_tilt(g, theta, factor=a), _edge_tilt(g, theta), a)
+    assert twisted is not None
+    value, nu_star, cls, data = twisted
     recentred = growth_rate_from_log(_edge_tilt(g, nu_star, factor=a - 1.0))
     attained = recentred.scale(1.0 / (a - 1.0)) - renyi_rate(alpha, nu_star, theta)
     residual = _attainment_residual(value, attained)
@@ -295,13 +292,9 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
     """
     _check_dims(g, nu)
     a = alpha.value
-    log_n = _edge_tilt(g, nu, factor=a - 1.0)
-    located = dominant_class(log_n)
-    assert located is not None
-    class_index, cls, root_n = located
-    log_m = _edge_tilt(g, nu, factor=-1.0)
-    theta_star, data = _twist(log_m, cls, class_index)
-    value = ExtReal.finite(root_n / (a - 1.0))
+    twisted = _locate_and_twist(_edge_tilt(g, nu, factor=a - 1.0), _edge_tilt(g, nu, factor=-1.0), a - 1.0)
+    assert twisted is not None
+    value, theta_star, cls, data = twisted
     ambient = growth_rate_from_log(_edge_tilt(g, theta_star, factor=a))
     attained = ambient.scale(1.0 / a) + renyi_rate(alpha, nu, theta_star)
     residual = _attainment_residual(value, attained)

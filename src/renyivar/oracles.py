@@ -287,8 +287,8 @@ def _iid_objective(a: float, weights: np.ndarray, nu: Dist, theta: Dist) -> floa
 
 
 def _search_iid(
-    problem: IIDVariationalProblem, trials: int, seed: int, hill_steps: int, tol: float
-) -> RandomSearchReport:
+    problem: IIDVariationalProblem, trials: int, seed: int, hill_steps: int
+) -> tuple[ExtReal, float, float]:
     a = problem.alpha.value
     regime = problem.alpha.regime
     nu, theta = problem.nu, problem.theta
@@ -335,19 +335,7 @@ def _search_iid(
             step *= 0.5
             if step < 1e-12:
                 break
-    best_refined = better(best_sampled, current)
-    margin = _beaten_by(regime, best_refined, target)
-    refinement_gap = _gap(best_refined, target)
-    return RandomSearchReport(
-        target=target,
-        best_sampled=best_sampled,
-        best_refined=best_refined,
-        margin=margin,
-        refinement_gap=refinement_gap,
-        trials=trials,
-        seed=seed,
-        passed=margin <= tol,
-    )
+    return target, best_sampled, better(best_sampled, current)
 
 
 def _stationary_law(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -414,8 +402,8 @@ def _markov_objective_value(
 
 
 def _search_markov(
-    problem: MarkovVariationalProblem, trials: int, seed: int, hill_steps: int, tol: float
-) -> RandomSearchReport:
+    problem: MarkovVariationalProblem, trials: int, seed: int, hill_steps: int
+) -> tuple[ExtReal, float, float]:
     a = problem.alpha.value
     regime = problem.alpha.regime
     nu, theta = problem.nu, problem.theta
@@ -480,19 +468,7 @@ def _search_markov(
             step *= 0.5
             if step < 1e-10:
                 break
-    best_refined = better(best_sampled, current)
-    margin = _beaten_by(regime, best_refined, target)
-    refinement_gap = _gap(best_refined, target)
-    return RandomSearchReport(
-        target=target,
-        best_sampled=best_sampled,
-        best_refined=best_refined,
-        margin=margin,
-        refinement_gap=refinement_gap,
-        trials=trials,
-        seed=seed,
-        passed=margin <= tol,
-    )
+    return target, best_sampled, better(best_sampled, current)
 
 
 def random_search_extremum(
@@ -514,7 +490,19 @@ def random_search_extremum(
     if trials < 1:
         raise InputValidationError("need at least one trial")
     if isinstance(problem, IIDVariationalProblem):
-        return _search_iid(problem, trials, seed, hill_steps, tol)
-    if isinstance(problem, MarkovVariationalProblem):
-        return _search_markov(problem, trials, seed, hill_steps, tol)
-    raise InputValidationError(f"unknown problem descriptor {type(problem).__name__}")
+        target, best_sampled, best_refined = _search_iid(problem, trials, seed, hill_steps)
+    elif isinstance(problem, MarkovVariationalProblem):
+        target, best_sampled, best_refined = _search_markov(problem, trials, seed, hill_steps)
+    else:
+        raise InputValidationError(f"unknown problem descriptor {type(problem).__name__}")
+    margin = _beaten_by(problem.alpha.regime, best_refined, target)
+    return RandomSearchReport(
+        target=target,
+        best_sampled=best_sampled,
+        best_refined=best_refined,
+        margin=margin,
+        refinement_gap=_gap(best_refined, target),
+        trials=trials,
+        seed=seed,
+        passed=margin <= tol,
+    )

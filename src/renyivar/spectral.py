@@ -198,8 +198,14 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
     thinned sequence differ by at most 1e-14 relatively; the returned pair
     additionally satisfies an explicit eigen-residual bound on the original
     unshifted block no looser than 1e-10 relative to the root.  Returns
-    ``(lam, vector, residual)`` for the *unshifted* block.
+    ``(lam, vector, residual)`` for the *unshifted* block.  A block with an
+    infinite or NaN entry (a balanced block whose exponential overflowed)
+    can never certify, so it is rejected before the first step.
     """
+    if not np.isfinite(block).all():
+        raise PerronConvergenceError(
+            "the balanced class block overflows the float range (inf or NaN entries)"
+        )
     n = block.shape[0]
     shift = 1.0 + float(np.max(np.diag(block)))
     shifted = block + shift * np.eye(n)

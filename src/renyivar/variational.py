@@ -22,8 +22,8 @@ The same module houses the scalar exponential-tilt identities:
 * the order-``a`` tilt pair linking ``(1/a) log sum e^{a g} dtheta`` and
   ``(1/(a-1)) log sum e^{(a-1) g} dnu`` through ``R_a`` (:func:`acd_sup`,
   :func:`acd_inf`, :func:`acd_certify`); the inf-form is the sup-form at
-  order ``1 - a`` with tilt ``-g``, and the implementation keeps that
-  substitution as an exact computational round-trip.
+  order ``1 - a`` with tilt ``-g``: both are built by one tilt helper, so
+  they agree bit for bit in value and optimizer, though not in the residual.
 
 All candidate evaluations classify the finiteness of both entropies before
 combining them -- the undefined combination ``inf - inf`` raises, and no
@@ -284,11 +284,25 @@ def truncated_optimizer(
     return Dist(weights), float(log_z)
 
 
+def _log_tilt_sum(g: BoundedFn, factor: float, ref: Dist, mask: np.ndarray) -> float:
+    """log sum over ``mask`` of e^{factor * g(x)} ref(x)."""
+    return logsumexp(factor * g.values[mask] + np.log(ref.weights[mask]))
+
+
+def _tilt(g: BoundedFn, factor: float, ref: Dist) -> tuple[Dist, float]:
+    """The tilt ∝ e^{factor * g} ref on the support of ``ref``, and its log normalizer."""
+    mask = ref.support
+    log_w = factor * g.values[mask] + np.log(ref.weights[mask])
+    log_z = logsumexp(log_w)
+    weights = np.zeros(ref.d)
+    weights[mask] = np.exp(log_w - log_z)
+    return Dist(weights), log_z
+
+
 def log_exp_integral(g: BoundedFn, mu: Dist) -> float:
     """log sum_x e^{g(x)} mu(x), evaluated stably in log space."""
     _check_dims(g, mu)
-    mask = mu.support
-    return logsumexp(g.values[mask] + np.log(mu.weights[mask]))
+    return _log_tilt_sum(g, 1.0, mu, mu.support)
 
 
 def dv_solve(g: BoundedFn, mu: Dist) -> VarSolution:
@@ -298,11 +312,8 @@ def dv_solve(g: BoundedFn, mu: Dist) -> VarSolution:
     attained by ``theta* ∝ e^g mu``.  The returned residual is the defect of
     that attainment, evaluated independently.
     """
-    value = log_exp_integral(g, mu)
-    mask = mu.support
-    weights = np.zeros(mu.d)
-    weights[mask] = np.exp(g.values[mask] + np.log(mu.weights[mask]) - value)
-    tilt = Dist(weights)
+    _check_dims(g, mu)
+    tilt, value = _tilt(g, 1.0, mu)
     attained = float(tilt.weights @ g.values) - rel_entropy(tilt, mu).raw
     return VarSolution(ExtReal.finite(value), tilt, None, abs(value - attained))
 
@@ -317,16 +328,9 @@ def acd_sup(alpha: Alpha, g: BoundedFn, theta: Dist) -> VarSolution:
     _check_dims(g, theta)
     a = alpha.value
     mask = theta.support
-    log_theta = np.log(theta.weights[mask])
-    value = logsumexp(a * g.values[mask] + log_theta) / a
-    log_z = logsumexp(g.values[mask] + log_theta)
-    weights = np.zeros(theta.d)
-    weights[mask] = np.exp(g.values[mask] + log_theta - log_z)
-    nu_star = Dist(weights)
-    attained = (
-        logsumexp((a - 1.0) * g.values[mask] + np.log(nu_star.weights[mask])) / (a - 1.0)
-        - renyi_div(alpha, nu_star, theta).raw
-    )
+    value = _log_tilt_sum(g, a, theta, mask) / a
+    nu_star, _ = _tilt(g, 1.0, theta)
+    attained = _log_tilt_sum(g, a - 1.0, nu_star, mask) / (a - 1.0) - renyi_div(alpha, nu_star, theta).raw
     return VarSolution(ExtReal.finite(value), nu_star, alpha.regime, abs(value - attained))
 
 
@@ -335,22 +339,14 @@ def acd_inf(alpha: Alpha, g: BoundedFn, nu: Dist) -> VarSolution:
 
     The minimum equals ``(1/(a-1)) log sum e^{(a-1) g} dnu`` and is attained
     by the reverse tilt ``theta* ∝ e^{-g} nu``; this is the sup problem at
-    order ``1 - a`` with tilt ``-g``, and the optimizer is built through that
-    exact substitution.
+    order ``1 - a`` with tilt ``-g``, and the optimizer is that problem's
+    tilt, bit for bit.
     """
     _check_dims(g, nu)
     a = alpha.value
-    mask = nu.support
-    log_nu = np.log(nu.weights[mask])
-    value = logsumexp((a - 1.0) * g.values[mask] + log_nu) / (a - 1.0)
-    log_z = logsumexp(-g.values[mask] + log_nu)
-    weights = np.zeros(nu.d)
-    weights[mask] = np.exp(-g.values[mask] + log_nu - log_z)
-    theta_star = Dist(weights)
-    attained = (
-        logsumexp(a * g.values[mask] + np.log(theta_star.weights[mask])) / a
-        + renyi_div(alpha, nu, theta_star).raw
-    )
+    value = _log_tilt_sum(g, a - 1.0, nu, nu.support) / (a - 1.0)
+    theta_star, _ = _tilt(g, -1.0, nu)
+    attained = _log_tilt_sum(g, a, theta_star, nu.support) / a + renyi_div(alpha, nu, theta_star).raw
     return VarSolution(ExtReal.finite(value), theta_star, alpha.regime, abs(value - attained))
 
 
@@ -367,10 +363,8 @@ def acd_certify(
     """
     _check_dims(g, nu, theta)
     a = alpha.value
-    t_mask = theta.support
-    n_mask = nu.support
-    lhs = logsumexp(a * g.values[t_mask] + np.log(theta.weights[t_mask])) / a
-    rhs = logsumexp((a - 1.0) * g.values[n_mask] + np.log(nu.weights[n_mask])) / (a - 1.0)
+    lhs = _log_tilt_sum(g, a, theta, theta.support) / a
+    rhs = _log_tilt_sum(g, a - 1.0, nu, nu.support) / (a - 1.0)
     divergence = renyi_div(alpha, nu, theta)
     if not divergence.is_finite:
         return CertResult(passed=True, slack=math.inf)

@@ -8,6 +8,7 @@ from renyivar import (
     EdgeFn,
     InfeasiblePointError,
     PairMeasure,
+    PerronConvergenceError,
     certify_markov_acd,
     certify_markov_inequality,
     markov_acd_inf,
@@ -95,6 +96,16 @@ class TestSolveMarkovVariational:
         want = np.zeros((2, 2))
         want[winner, winner] = 1.0
         np.testing.assert_allclose(sol.optimizer.entries, want, atol=1e-12)
+
+    def test_twist_out_of_float_range_is_named(self):
+        # A valid pair measure whose order-4 tilt pushes the left Perron vector
+        # past the largest double and the right one to zero: the twist cannot be
+        # formed, and the error names the Perron vectors, not the input measure.
+        nu = PairMeasure([[1e300, 1.0], [1.0, 1.0]])
+        th = PairMeasure(np.full((2, 2), 0.25))
+        with np.errstate(all="ignore"):
+            with pytest.raises(PerronConvergenceError, match="Perron vectors of class .* leave the float range"):
+                solve_markov_variational(Alpha(-3.0), nu, th)
 
     def test_tied_disjoint_classes_pick_the_first(self, rng):
         # One 2-state chain copied onto states {0, 2} and {1, 3}: every class root ties.
@@ -251,10 +262,9 @@ class TestMarkovACD:
             g = EdgeFn(rng.uniform(-2.0, 2.0, size=(d, d)))
             direct = markov_acd_inf(Alpha(a), g, nu)
             via_sup = markov_acd_sup(Alpha(1.0 - a), EdgeFn(-g.values), nu)
-            assert abs(direct.value.raw - (-via_sup.value.raw)) <= 1e-12
-            np.testing.assert_allclose(
-                direct.optimizer.entries, via_sup.optimizer.entries, atol=1e-12
-            )
+            assert direct.value.raw == -via_sup.value.raw
+            assert np.array_equal(direct.optimizer.entries, via_sup.optimizer.entries)
+            assert direct.class_used == via_sup.class_used
 
     def test_rho_identities_trivial_cases(self, rng):
         th = random_pair(rng, 3)

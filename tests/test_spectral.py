@@ -10,6 +10,7 @@ from renyivar import (
     InputValidationError,
     NonnegMatrix,
     PairMeasure,
+    PerronConvergenceError,
     classes,
     compatible,
     growth_rate,
@@ -204,6 +205,16 @@ class TestPerron:
             max(abs(np.linalg.eigvals(np.exp(log_entries - 800.0))))
         )
         assert data.log_lam == pytest.approx(want, abs=1e-10)
+
+    def test_overflowing_balanced_block_fails_before_iterating(self):
+        # Karp's mean of the 9e299 self-loop rounds about 3e284 low, so the
+        # balanced block holds exp(+3e284) = inf: no iteration can certify it,
+        # and the error says so at once instead of after the iteration cap.
+        log_entries = np.zeros((3, 3))
+        log_entries[0, 0] = 9e299
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PerronConvergenceError, match="overflows the float range"):
+                growth_rate_from_log(log_entries)
 
 
 class TestGrowthRate:
