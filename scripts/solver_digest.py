@@ -9,6 +9,11 @@ message.  Two source trees with the same digest return the same bits, from
 every call of the sweep, for values, residuals, optimizers, Perron data,
 ``class_used``, slacks and rejections.
 
+Every call runs twice and both results are hashed: first cold, after
+``cache_clear()`` on every memo of ``renyivar.spectral`` (any module
+attribute that has one), then warm.  Equal digests therefore also mean that
+a memo hit returns the same bits as a recomputation, in both trees.
+
 Example (compare a change against its parent checkout):
 
     python3 scripts/solver_digest.py --src src
@@ -65,20 +70,28 @@ def encode(x) -> bytes:
 class Digest:
     """A running SHA-256 over hashed call results, and their count."""
 
-    def __init__(self, errors: type) -> None:
+    def __init__(self, errors: type, memos: list) -> None:
         self.sha = hashlib.sha256()
         self.count = 0
         self.errors = errors
+        self.memos = memos
 
     def call(self, tag: str, fn, *args, **kwargs):
-        """Hash ``fn(*args, **kwargs)`` or the library error it raises; return the result or None."""
-        try:
-            result = fn(*args, **kwargs)
-            record = encode(result)
-        except self.errors as exc:
-            result, record = None, f"{type(exc).__name__}: {exc}".encode()
-        self.sha.update(tag.encode() + b" " + fn.__name__.encode() + b" " + record + b"\n")
-        self.count += 1
+        """Hash ``fn(*args, **kwargs)`` or the library error it raises, cold then warm.
+
+        Returns the warm result, or None on an error.
+        """
+        for state in (b"cold", b"warm"):
+            if state == b"cold":
+                for memo in self.memos:
+                    memo.cache_clear()
+            try:
+                result = fn(*args, **kwargs)
+                record = encode(result)
+            except self.errors as exc:
+                result, record = None, f"{type(exc).__name__}: {exc}".encode()
+            self.sha.update(state + b" " + tag.encode() + b" " + fn.__name__.encode() + b" " + record + b"\n")
+            self.count += 1
         return result
 
 
@@ -189,7 +202,8 @@ def main() -> int:
     import workloads
 
     warnings.simplefilter("ignore")  # floating-point warnings are not results
-    digest = Digest(rv.RenyiVarError)
+    memos = [obj for obj in vars(rv.spectral).values() if callable(getattr(obj, "cache_clear", None))]
+    digest = Digest(rv.RenyiVarError, memos)
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for tag, nu, theta, g in iid_pairs(rng, rv):
@@ -197,6 +211,7 @@ def main() -> int:
         for tag, nu, theta, d in markov_pairs(rng, rv, workloads):
             sweep_markov(digest, rv, f"seed={seed} {tag}", nu, theta, d, rng)
     print(f"src: {src}")
+    print(f"memos cleared before each cold call: {len(memos)}", file=sys.stderr)
     print(f"results: {digest.count}")
     print(f"sha256: {digest.sha.hexdigest()}")
     return 0

@@ -227,11 +227,18 @@ def certify_markov_inequality(
 
 
 def _edge_tilt(g: EdgeFn, pair: PairMeasure, factor: float = 1.0) -> np.ndarray:
-    """Elementwise log of [e^{factor * g(i,j)} pair(j|i)], -inf off the edge support."""
+    """Elementwise log of [e^{factor * g(i,j)} pair(j|i)], -inf off the edge support.
+
+    A tilt that overflows on a supported edge would silently add or delete
+    that edge, so it is rejected instead.
+    """
     rows = kernel(pair).rows
     out = np.full(rows.shape, -math.inf)
     on = rows > 0
-    out[on] = factor * g.values[on] + np.log(rows[on])
+    tilted = factor * g.values[on] + np.log(rows[on])
+    if not np.isfinite(tilted).all():
+        raise InputValidationError(f"the tilt {factor!r} * g leaves the float range on a supported edge")
+    out[on] = tilted
     return out
 
 

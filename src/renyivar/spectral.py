@@ -21,12 +21,13 @@ by a tropical (max-plus) diagonal balancing before exponentiating, so the
 linear-algebra kernels only ever see blocks whose largest entry and Perron
 root are both of order one, whatever the dynamic range of the input.
 
-Balancing a class block and running the right power iteration on it is the
-step every growth rate and Perron computation shares, and the Markov
-certificates repeat it on the same blocks many times over.  It is memoised
-on the exact bytes of the block (:func:`_class_step`), so a repeat returns
-the very floats a recomputation would.  The memo holds at most 64 blocks of
-at most 64 states each; larger blocks are always recomputed.
+Class finding on a support pattern, the dominant class of a log-matrix, and
+the balancing with the right and the left power iteration of a class block are
+memoised on the exact bytes of their input (:func:`_memoised`): the Markov
+certificates repeat them on the same matrices many times over.  Each step is
+deterministic and returns read-only results, so a hit gives the very floats a
+recomputation would.  Each memo holds at most 64 arrays of at most 64 rows.  As
+an exact fast path, a complete support digraph is one cyclic class at once.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
     """
     idx = np.fromiter(nodes, dtype=int)
     inside = support[idx[:, None], idx]
+    class_of = np.full(support.shape[0], -1, dtype=int)
+    if idx.size and inside.all():  # a complete digraph is one cyclic class
+        class_of[idx] = 0
+        class_of.flags.writeable = False
+        return ClassDecomposition((tuple(idx.tolist()),), class_of, (True,))
     reach = inside | np.eye(idx.size, dtype=bool)
     while True:
         steps = reach.astype(float)  # float products use BLAS; path counts up to d are exact
@@ -161,7 +167,6 @@ def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
     # the smallest state sharing each state's class names that class
     first = mutual.argmax(axis=1) if idx.size else idx
     leaders = (first == np.arange(idx.size)).nonzero()[0]
-    class_of = np.full(support.shape[0], -1, dtype=int)
     class_of[idx] = np.searchsorted(leaders, first)
     class_of.flags.writeable = False
     members = mutual[leaders]
@@ -173,11 +178,10 @@ def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
 def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomposition:
     """Decompose the support digraph (restricted to ``states``) into classes."""
     if states is None:
-        node_list: list[int] = list(range(m.d))
-    else:
-        node_list = sorted(set(int(s) for s in states))
-        if node_list and (node_list[0] < 0 or node_list[-1] >= m.d):
-            raise InputValidationError("states outside the matrix index range")
+        return _classes_of(m.support)
+    node_list = sorted(set(int(s) for s in states))
+    if node_list and (node_list[0] < 0 or node_list[-1] >= m.d):
+        raise InputValidationError("states outside the matrix index range")
     return _decompose(m.support, node_list)
 
 
@@ -207,8 +211,9 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
             "the balanced class block overflows the float range (inf or NaN entries)"
         )
     n = block.shape[0]
-    shift = 1.0 + float(np.max(np.diag(block)))
-    shifted = block + shift * np.eye(n)
+    shift = 1.0 + float(block.diagonal().max())
+    shifted = block.copy()  # finite and >= 0, so adding c I changes the diagonal only
+    shifted.flat[:: n + 1] += shift
     squared = shifted @ shifted
     fourth = squared @ squared
     stepper = fourth @ fourth
@@ -287,7 +292,7 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
-    decomposition = _decompose(log_block > -math.inf, range(log_block.shape[0]))
+    decomposition = _classes_of(log_block > -math.inf)
     shown = tuple(int(s) for s in states)
     if len(decomposition.classes) != 1:
         raise ClassStructureError(f"states {shown} do not form a single irreducible class")
@@ -300,12 +305,40 @@ def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarr
     return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
 
 
-# With these bounds the memo's keys take at most 64 blocks x 64 x 64 entries x 8 bytes = 2 MiB.
+# With these bounds each memo's keys take at most 64 arrays x 64 x 64 entries x 8 bytes = 2 MiB.
 _MEMO_ENTRIES = 64
 _MEMO_MAX_STATES = 64
 
 
-def _right_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _memoised(f):
+    """``f(array)`` memoised on the shape, dtype and bytes of the contiguous array.
+
+    ``f`` is deterministic and returns read-only arrays, so a hit gives what a
+    recomputation would.  Arrays above ``_MEMO_MAX_STATES`` rows call ``f``.
+    """
+    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
+    def by_bytes(shape: tuple[int, ...], dtype: str, data: bytes):
+        return f(np.frombuffer(data, dtype=dtype).reshape(shape))
+
+    @functools.wraps(f)
+    def memoised(array: np.ndarray):
+        array = np.ascontiguousarray(array)
+        if array.shape[0] > _MEMO_MAX_STATES:
+            return f(array)
+        return by_bytes(array.shape, array.dtype.str, array.tobytes())
+
+    memoised.cache_clear, memoised.cache_info = by_bytes.cache_clear, by_bytes.cache_info
+    return memoised
+
+
+@_memoised
+def _classes_of(support: np.ndarray) -> ClassDecomposition:
+    """Classes of a whole boolean support digraph."""
+    return _decompose(support, range(support.shape[0]))
+
+
+@_memoised
+def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """``(mu, pot, lam, right)``: balance a class block, then iterate on the right."""
     mu, pot = _tropical_balance(block_log)
     lam, right, _ = _power_iteration(_balanced_exp(block_log, mu, pot))
@@ -314,21 +347,13 @@ def _right_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.nda
     return mu, pot, lam, right
 
 
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _memo_right_step(shape: tuple[int, int], data: bytes) -> tuple[float, np.ndarray, float, np.ndarray]:
-    return _right_step(np.frombuffer(data).reshape(shape))
-
-
-def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """:func:`_right_step` of a class block, computed once per distinct block.
-
-    Identical bytes give identical arithmetic, so a memo hit returns exactly
-    what a recomputation would; the returned arrays are read-only.
-    """
-    block_log = np.ascontiguousarray(block_log, dtype=float)
-    if block_log.shape[0] > _MEMO_MAX_STATES:
-        return _right_step(block_log)
-    return _memo_right_step(block_log.shape, block_log.tobytes())
+@_memoised
+def _left_step(block_log: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(lam, left)``: the left iteration on the block balanced by :func:`_class_step`."""
+    mu, pot, _, _ = _class_step(block_log)
+    lam, left, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
+    left.flags.writeable = False
+    return lam, left
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
@@ -347,7 +372,7 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
     block_log = log_entries[np.ix_(idx, idx)]
     _validate_cyclic_class(block_log, idx)
     mu, pot, lam_r, right_block = _class_step(block_log)
-    lam_l, left_block, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
+    lam_l, left_block = _left_step(block_log)
     lam = 0.5 * (lam_r + lam_l)
     log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot
@@ -379,13 +404,18 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
     log_entries = np.asarray(log_entries, dtype=float)
     if log_entries.ndim != 2 or log_entries.shape[0] != log_entries.shape[1] or log_entries.size == 0:
         raise InputValidationError("entries must form a nonempty square matrix")
-    decomposition = _decompose(log_entries > -math.inf, range(log_entries.shape[0]))
+    return _locate_dominant(log_entries)
+
+
+@_memoised
+def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
+    decomposition = _classes_of(log_entries > -math.inf)
     best: tuple[int, tuple[int, ...], float] | None = None
     for k, cls in enumerate(decomposition.classes):
         if not decomposition.cyclic[k]:
             continue
-        idx = np.asarray(cls, dtype=int)
-        mu, _, lam, _ = _class_step(log_entries[np.ix_(idx, idx)])
+        whole = len(cls) == log_entries.shape[0]  # one class over all states: no gather
+        mu, _, lam, _ = _class_step(log_entries if whole else log_entries[np.ix_(cls, cls)])
         root = math.log(lam) + mu
         if best is None or root > best[2]:
             best = (k, cls, root)

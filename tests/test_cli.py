@@ -198,6 +198,16 @@ class TestExitCodes:
         assert code == 2 and out == b""
         assert err.startswith(f"error: {flag.split('=')[0]} must be")
 
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    @pytest.mark.parametrize("alpha, g", [(2.0, [[-1e308] * 2] * 2), (5.0, [[1e308, 0.0], [0.0, 0.0]])])
+    def test_exit_two_when_the_tilt_overflows(self, tmp_path, command, alpha, g):
+        # alpha * g leaves the float range for finite g; it used to delete edges silently
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "markov_acd", "alpha": alpha, "g": g, **OVERFLOW_PAIR}))
+        code, out, err = run_contained([command, str(problem)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "leaves the float range" in err
+
     def test_no_warnings_on_stderr_when_certified(self, tmp_path):
         # exp(a g) overflows and log(0) occurs on the way; the certificate still holds
         problem = tmp_path / "problem.json"
@@ -218,6 +228,7 @@ class TestExitCodes:
 # ---------------------------------------------------------------------------
 
 IID = {"alpha": 2.0, "nu": [0.5, 0.5], "theta": [0.25, 0.75]}
+OVERFLOW_PAIR = {"nu": [[0.25, 0.25], [0.25, 0.25]], "theta": [[0.25, 0.25], [0.25, 0.25]]}
 PAIR = {"alpha": 2.0, "nu": [[0.25, 0.25], [0.25, 0.25]], "theta": [[0.09, 0.21], [0.21, 0.49]]}
 
 # One valid problem per (command, kind) pair, plus the fixture files.
@@ -330,6 +341,8 @@ class TestExitCodeContract:
     @example(case=("certify", (DATA / "certify_iid.json").read_text(), ["--tol=nan"]))
     @example(case=("oracle", (DATA / "oracle_search.json").read_text(), ["--seed=-1"]))
     @example(case=("div", json.dumps({"kind": "iid_divergence", **IID, "nu": [1e308, 1e308]}), []))
+    @example(case=("solve", json.dumps({"kind": "markov_acd", "alpha": 2.0, "g": [[-1e308] * 2] * 2,
+                                        **OVERFLOW_PAIR}), []))
     def test_exit_codes_hold_for_any_json(self, tmp_path_factory, case):
         command, text, flags = case
         path = tmp_path_factory.getbasetemp() / "contract_problem.json"

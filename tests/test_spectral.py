@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renyivar import (
@@ -126,6 +126,9 @@ def digraphs_with_nodes(draw):
 
 @settings(max_examples=300)
 @given(digraphs_with_nodes())
+@example((np.ones((4, 4), dtype=bool), [0, 1, 2, 3]))  # complete: the one-class fast path
+@example((np.array([[1, 0, 1], [1, 0, 0], [1, 1, 1]], dtype=bool), [0, 2]))  # complete on the subset only
+@example((np.ones((1, 1), dtype=bool), [0]))  # d = 1 with a self-loop
 def test_decompose_matches_mutual_reachability(graph):
     support, nodes = graph
     dec = spectral._decompose(support, nodes)
@@ -380,6 +383,33 @@ def _reference_tropical_balance(block_log):
     return mu, p
 
 
+# Every memoised step of ``spectral``: its k-th distinct small input, and how
+# many arrays its result holds.
+MEMO_USERS = {
+    "_classes_of": (lambda k: np.array([(k >> b) & 1 for b in range(9)], dtype=bool).reshape(3, 3), 1),
+    "_locate_dominant": (lambda k: np.array([[float(k)]]), 0),
+    "_class_step": (lambda k: np.array([[float(k)]]), 2),
+    "_left_step": (lambda k: np.array([[float(k)]]), 1),
+}
+
+
+def _clear_memos(clear=True):
+    if clear:
+        for name in MEMO_USERS:
+            getattr(spectral, name).cache_clear()
+
+
+def _arrays_in(result):
+    """Every numpy array in a memo result: tuples and dataclass fields, recursively."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return [a for item in result for a in _arrays_in(item)]
+    if hasattr(result, "__dataclass_fields__"):
+        return [a for field in result.__dataclass_fields__ for a in _arrays_in(getattr(result, field))]
+    return []
+
+
 class TestClassStep:
     def _class_blocks(self, rng, count):
         """Log-blocks of cyclic classes of random sparse matrices, entries in +-60."""
@@ -402,43 +432,56 @@ class TestClassStep:
             assert p.tobytes() == want_p.tobytes()
 
     def test_memo_hits_equal_recomputation(self, rng):
-        """Cold and warm memo give the same bytes, interleaved with other blocks."""
-        log_ms = [safe_log(random_matrix(rng, int(rng.integers(2, 8)), density=0.6)) for _ in range(30)]
+        """Cold and warm memos give the same bytes, interleaved with other matrices."""
+        ms = [random_matrix(rng, int(rng.integers(2, 8)), density=0.6 if k % 3 else 1.0) for k in range(30)]
 
-        def outputs(log_m, cold):
-            if cold:
-                spectral._memo_right_step.cache_clear()
+        def outputs(m, cold):
+            log_m = safe_log(m)
+            _clear_memos(cold)
+            dec = classes(NonnegMatrix(m))
+            found = dec.classes, dec.cyclic, dec.class_of.tobytes()
+            _clear_memos(cold)
             located = spectral.dominant_class(log_m)
             if located is None:
-                return None
-            if cold:
-                spectral._memo_right_step.cache_clear()
+                return found, None
+            _clear_memos(cold)
             data = perron_from_log(log_m, located[1], located[0])
             index, states, root = located
-            return index, states, root.hex(), data.log_lam.hex(), data.left.tobytes(), data.right.tobytes(), data
+            return found, (index, states, root.hex(), data.log_lam.hex(), data.left.tobytes(),
+                           data.right.tobytes(), data)
 
-        cold = [outputs(log_m, cold=True) for log_m in log_ms]
-        warm = [outputs(log_m, cold=False) for log_m in log_ms + log_ms[::-1]]
-        assert spectral._memo_right_step.cache_info().hits > 0
-        for got, want in zip(warm, cold + cold[::-1]):
+        cold = [outputs(m, cold=True) for m in ms]
+        warm = [outputs(m, cold=False) for m in ms + ms[::-1]]
+        assert all(getattr(spectral, name).cache_info().hits > 0 for name in MEMO_USERS)
+        for (got_found, got), (want_found, want) in zip(warm, cold + cold[::-1]):
+            assert got_found == want_found
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[:6] == want[:6]
                 assert not got[6].left.flags.writeable and not got[6].right.flags.writeable
 
-    def test_memo_returns_read_only_arrays(self):
-        spectral._memo_right_step.cache_clear()
+    @pytest.mark.parametrize("name", MEMO_USERS)
+    def test_memo_returns_read_only_arrays(self, name):
+        memo = getattr(spectral, name)
+        _clear_memos()
         block = np.array([[0.0, 1.0], [2.0, -math.inf]])
         for _ in range(2):  # a miss, then a hit
-            mu, pot, lam, right = spectral._class_step(block)
-            assert not pot.flags.writeable and not right.flags.writeable
-        assert spectral._memo_right_step.cache_info().hits == 1
+            arrays = _arrays_in(memo(block > -math.inf if name == "_classes_of" else block))
+            assert len(arrays) == MEMO_USERS[name][1]
+            assert not any(a.flags.writeable for a in arrays)
+        assert memo.cache_info().hits == 1
 
-    def test_memo_holds_a_bounded_number_of_small_blocks(self):
-        spectral._memo_right_step.cache_clear()
-        big = np.zeros((spectral._MEMO_MAX_STATES + 1,) * 2)
-        spectral._class_step(big)
-        assert spectral._memo_right_step.cache_info().currsize == 0
+    @pytest.mark.parametrize("name", MEMO_USERS)
+    def test_memo_holds_a_bounded_number_of_small_blocks(self, name):
+        memo, (make, _) = getattr(spectral, name), MEMO_USERS[name]
+        _clear_memos()
+        memo(np.zeros((spectral._MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype))
+        assert memo.cache_info().currsize == 0
         for k in range(spectral._MEMO_ENTRIES + 5):
-            spectral._class_step(np.array([[float(k)]]))
-        assert spectral._memo_right_step.cache_info().currsize == spectral._MEMO_ENTRIES
+            memo(make(k))
+        assert memo.cache_info().currsize == spectral._MEMO_ENTRIES
+
+
+def test_memo_users_are_every_memo_of_spectral():
+    memos = {name for name, obj in vars(spectral).items() if hasattr(obj, "cache_clear")}
+    assert memos == set(MEMO_USERS)
