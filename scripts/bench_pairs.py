@@ -20,7 +20,11 @@ end-to-end metric of ``BENCHMARK.json`` the median and quartiles of each
 side, the pairs the change won (ties count for neither side), the relative
 change of the median, and whether the medians differ by more than the
 parent's interquartile range.  It also records whether ``attempted`` and
-``failed`` were equal in every pair.
+``failed`` were equal in every pair, and for each side the ``git rev-parse
+HEAD`` of its checkout and whether its working tree was dirty (``git status
+--porcelain`` not empty) before the runs; both are null outside a git
+checkout.  A change side that runs uncommitted edits on its parent's commit
+shows as that commit, dirty.
 """
 
 from __future__ import annotations
@@ -34,6 +38,19 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def git_state(checkout: Path) -> dict:
+    """The HEAD commit of a checkout and whether its working tree differs from it."""
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        except OSError:  # no git binary
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain")
+    return {"git_sha": git("rev-parse", "HEAD"), "dirty": None if status is None else status != ""}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -97,6 +114,7 @@ def main() -> int:
         return 2
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    checkouts = {side: git_state(root) for side, root in roots.items()}
 
     pairs = []
     for k in range(args.pairs):
@@ -114,6 +132,7 @@ def main() -> int:
     entry = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {seconds}",
         "seeds": [p["seed"] for p in pairs],
+        "checkouts": checkouts,
         "counts_equal_in_every_pair": all(
             p["parent"]["result"][key] == p["change"]["result"][key]
             for p in pairs for key in ("attempted", "failed", "correct")

@@ -27,7 +27,15 @@ pairs on 2 to 5 states, reducible pairs on the irreducible blocks of
 pairs with one block carrying mass near 1e-300.  Every pair is swept over
 the nine orders of the acceptance tests and three more (see ``ORDERS``)
 through every public solver and certificate, ``rho_identities_check``, ``perron_from_log`` on each cyclic
-class, and a small ``random_search_extremum`` run.
+class, and a small ``random_search_extremum`` run.  Each pair also goes
+through the order-free functions (absolute continuity, relative entropy
+and its rate, kernels, path distributions, the spectral functions of the
+reference's matrix) and, at three orders, the finite-horizon oracles.  Each
+seed ends with one 128-state matrix, large enough that ``log_matmul``
+splits it into blocks of rows.
+
+After the sweep the script exits 1, naming them, if any public function of
+``renyivar.__all__`` was never called.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ SEEDS = range(24)
 IID_SIZES = (1, 2, 3, 5, 8, 12)
 # Small enough that the searches take a few seconds in all.
 SEARCH = {"trials": 12, "hill_steps": 3}
+# Orders at which the random searches and the finite-horizon oracles run.
+SLOW_ORDERS = (-1.0, 0.5, 2.0)
+ORACLE_STEPS = 12
+LARGE_D = 128
 
 
 def encode(x) -> bytes:
@@ -75,12 +87,14 @@ class Digest:
         self.count = 0
         self.errors = errors
         self.memos = memos
+        self.called: set = set()
 
     def call(self, tag: str, fn, *args, **kwargs):
         """Hash ``fn(*args, **kwargs)`` or the library error it raises, cold then warm.
 
         Returns the warm result, or None on an error.
         """
+        self.called.add(fn)
         for state in (b"cold", b"warm"):
             if state == b"cold":
                 for memo in self.memos:
@@ -127,6 +141,10 @@ def markov_pairs(rng, rv, workloads):
 
 def sweep_iid(digest: Digest, rv, tag, nu, theta, g, rng) -> None:
     """Every single-letter solver and certificate on one pair, at every order."""
+    mix = rv.Dist(nu.weights + theta.weights)
+    for a, b in ((nu, theta), (theta, nu)):
+        digest.call(tag, rv.abs_cont, a, b)
+        digest.call(tag, rv.rel_entropy, a, b)
     digest.call(tag, rv.log_exp_integral, g, nu)
     digest.call(tag, rv.dv_solve, g, nu)
     digest.call(tag, rv.dv_solve, g, theta)
@@ -135,6 +153,8 @@ def sweep_iid(digest: Digest, rv, tag, nu, theta, g, rng) -> None:
         at = f"{tag} a={a}"
         solution = digest.call(at, rv.solve_variational, alpha, nu, theta)
         digest.call(at, rv.renyi_div, alpha, nu, theta)
+        for eta in (mix, theta):
+            digest.call(at, rv.renyi_via_reference, alpha, nu, theta, eta)
         for mu in (solution.optimizer if solution else None, nu, theta):
             if mu is not None:
                 digest.call(at, rv.objective, alpha, mu, nu, theta)
@@ -150,7 +170,7 @@ def sweep_iid(digest: Digest, rv, tag, nu, theta, g, rng) -> None:
             if star is not None:
                 digest.call(at, rv.acd_certify, alpha, g, star.optimizer, theta)
                 digest.call(at, rv.acd_certify, alpha, g, nu, star.optimizer)
-        if nu.d <= 5 and a in (-1.0, 0.5, 2.0):
+        if nu.d <= 5 and a in SLOW_ORDERS:
             problem = rv.IIDVariationalProblem(alpha, nu, theta)
             digest.call(at, rv.random_search_extremum, problem, seed=int(rng.integers(1000)), **SEARCH)
 
@@ -165,8 +185,26 @@ def sweep_markov(digest: Digest, rv, tag, nu, theta, d, rng) -> None:
         log_theta = np.log(theta.entries)
     log_m = np.where(theta.entries > 0, g.values + log_theta, -np.inf)
     digest.call(tag, rv.growth_rate_from_log, log_m)
-    for k, cls in enumerate(rv.classes(rv.NonnegMatrix(theta.entries)).cyclic_classes()):
+    m = rv.NonnegMatrix(theta.entries)
+    for k, cls in enumerate(digest.call(tag, rv.classes, m).cyclic_classes()):
         digest.call(tag, rv.perron_from_log, log_m, cls, k)
+        digest.call(tag, rv.perron, m, cls, k)
+    for fn in (rv.has_cycle, rv.growth_rate, rv.maximal_abs_cont):
+        digest.call(tag, fn, m)
+    digest.call(tag, rv.growth_rate_bruteforce, m, 7)
+    digest.call(tag, rv.log_mass_sequence, m, 7)
+    for a, b in ((nu, theta), (theta, nu)):
+        digest.call(tag, rv.compatible, m, a)
+        digest.call(tag, rv.support, a)
+        digest.call(tag, rv.kernel, a)
+        digest.call(tag, rv.abs_cont_pair, a, b)
+        digest.call(tag, rv.rel_entropy_rate, a, b)
+        digest.call(tag, rv.check_abs_cont_lift, a, b, 3)
+        digest.call(tag, rv.path_distribution, a, 3)
+    digest.call(tag, rv.rel_entropy_rate_oracle, nu, theta, ORACLE_STEPS)
+    for mode in ("difference", "cesaro"):
+        digest.call(tag, rv.easyvar_oracle_report, g.values, nu, ORACLE_STEPS, mode)
+    digest.call(tag, rv.easyvar_finite_n_oracle, g.values, theta, ORACLE_STEPS)
     for a in ORDERS:
         alpha = rv.Alpha(a)
         at = f"{tag} a={a}"
@@ -184,7 +222,10 @@ def sweep_markov(digest: Digest, rv, tag, nu, theta, d, rng) -> None:
             if star is not None and star.optimizer is not None:
                 digest.call(at, rv.certify_markov_acd, alpha, g, star.optimizer, theta)
                 digest.call(at, rv.certify_markov_acd, alpha, g, nu, star.optimizer)
-        if d <= 4 and a in (-1.0, 0.5, 2.0):
+        if a in SLOW_ORDERS:
+            for mode in ("difference", "cesaro"):
+                digest.call(at, rv.renyi_rate_oracle, alpha, nu, theta, ORACLE_STEPS, mode)
+        if d <= 4 and a in SLOW_ORDERS:
             problem = rv.MarkovVariationalProblem(alpha, nu, theta)
             digest.call(at, rv.random_search_extremum, problem, seed=int(rng.integers(1000)), **SEARCH)
 
@@ -210,10 +251,22 @@ def main() -> int:
             sweep_iid(digest, rv, f"seed={seed} {tag}", nu, theta, g, rng)
         for tag, nu, theta, d in markov_pairs(rng, rv, workloads):
             sweep_markov(digest, rv, f"seed={seed} {tag}", nu, theta, d, rng)
+        large = rv.NonnegMatrix(rng.gamma(1.0, size=(LARGE_D, LARGE_D)) * (rng.random((LARGE_D, LARGE_D)) < 0.05))
+        tag = f"seed={seed} large d={LARGE_D}"
+        digest.call(tag, rv.growth_rate, large)
+        digest.call(tag, rv.growth_rate_bruteforce, large, 3)
+        digest.call(tag, rv.log_mass_sequence, large, 3)
+    never = [
+        name for name in rv.__all__
+        if callable(obj := getattr(rv, name)) and not isinstance(obj, type) and obj not in digest.called
+    ]
     print(f"src: {src}")
     print(f"memos cleared before each cold call: {len(memos)}", file=sys.stderr)
     print(f"results: {digest.count}")
     print(f"sha256: {digest.sha.hexdigest()}")
+    if never:
+        print(f"error: public functions never called: {', '.join(never)}", file=sys.stderr)
+        return 1
     return 0
 
 

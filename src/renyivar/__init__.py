@@ -5,173 +5,26 @@ alphabets, for product measures and for Markov pair measures, with spectral
 All logarithms are natural.  Infinite values travel as :class:`ExtReal`
 rather than as raw floats, so that undefined combinations fail loudly
 instead of silently producing NaN.
+
+Each module's ``__all__`` is its public API, and the only list of it: the
+package re-exports every name in those lists, so a new public name is
+declared once, in the ``__all__`` of the module that defines it.
 """
 
-from .config import TOL, Tolerances
-from .distributions import Alpha, Dist, abs_cont, rel_entropy, renyi_div, renyi_via_reference
-from .errors import (
-    AbsoluteContinuityError,
-    BalanceError,
-    ClassStructureError,
-    DimensionMismatchError,
-    ExtRealArithmeticError,
-    InfeasiblePointError,
-    InputValidationError,
-    InvalidAlphaError,
-    InvalidDistributionError,
-    PathSpaceError,
-    PerronConvergenceError,
-    RenyiVarError,
-)
-from .extreal import NEG_INF, POS_INF, ExtReal
-from .markov import (
-    Kernel,
-    PairMeasure,
-    abs_cont_pair,
-    check_abs_cont_lift,
-    kernel,
-    path_distribution,
-    rel_entropy_rate,
-    renyi_rate,
-    support,
-)
-from .markov_variational import (
-    EdgeFn,
-    MarkovVarSolution,
-    RhoIdentityReport,
-    certify_markov_acd,
-    certify_markov_inequality,
-    markov_acd_inf,
-    markov_acd_sup,
-    markov_objective,
-    rho_identities_check,
-    solve_markov_variational,
-    varadhan_growth,
-    varadhan_solve,
-)
-from .oracles import (
-    ConvergenceReport,
-    IIDVariationalProblem,
-    MarkovVariationalProblem,
-    RandomSearchReport,
-    easyvar_finite_n_oracle,
-    easyvar_oracle_report,
-    random_search_extremum,
-    rel_entropy_rate_oracle,
-    renyi_rate_oracle,
-)
-from .spectral import (
-    ClassDecomposition,
-    NonnegMatrix,
-    PerronData,
-    classes,
-    compatible,
-    growth_rate,
-    growth_rate_bruteforce,
-    growth_rate_from_log,
-    has_cycle,
-    log_mass_sequence,
-    maximal_abs_cont,
-    perron,
-    perron_from_log,
-)
-from .variational import (
-    BoundedFn,
-    CertResult,
-    VarSolution,
-    acd_certify,
-    acd_inf,
-    acd_sup,
-    certify_inequality,
-    dv_solve,
-    log_exp_integral,
-    objective,
-    solve_variational,
-    truncated_optimizer,
-    truncation_caps,
-)
+from . import config, distributions, errors, extreal, markov, markov_variational, oracles, spectral, variational
+from .config import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .extreal import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .markov_variational import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .variational import *  # noqa: F403
+
+_MODULES = (config, distributions, errors, extreal, markov, markov_variational, oracles, spectral, variational)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOL",
-    "Tolerances",
-    "Alpha",
-    "Dist",
-    "abs_cont",
-    "rel_entropy",
-    "renyi_div",
-    "renyi_via_reference",
-    "AbsoluteContinuityError",
-    "BalanceError",
-    "ClassStructureError",
-    "DimensionMismatchError",
-    "ExtRealArithmeticError",
-    "InfeasiblePointError",
-    "InputValidationError",
-    "InvalidAlphaError",
-    "InvalidDistributionError",
-    "PathSpaceError",
-    "PerronConvergenceError",
-    "RenyiVarError",
-    "NEG_INF",
-    "POS_INF",
-    "ExtReal",
-    "Kernel",
-    "PairMeasure",
-    "abs_cont_pair",
-    "check_abs_cont_lift",
-    "kernel",
-    "path_distribution",
-    "rel_entropy_rate",
-    "renyi_rate",
-    "support",
-    "EdgeFn",
-    "MarkovVarSolution",
-    "RhoIdentityReport",
-    "certify_markov_acd",
-    "certify_markov_inequality",
-    "markov_acd_inf",
-    "markov_acd_sup",
-    "markov_objective",
-    "rho_identities_check",
-    "solve_markov_variational",
-    "varadhan_growth",
-    "varadhan_solve",
-    "ConvergenceReport",
-    "IIDVariationalProblem",
-    "MarkovVariationalProblem",
-    "RandomSearchReport",
-    "easyvar_finite_n_oracle",
-    "easyvar_oracle_report",
-    "random_search_extremum",
-    "rel_entropy_rate_oracle",
-    "renyi_rate_oracle",
-    "ClassDecomposition",
-    "NonnegMatrix",
-    "PerronData",
-    "classes",
-    "compatible",
-    "growth_rate",
-    "growth_rate_bruteforce",
-    "growth_rate_from_log",
-    "has_cycle",
-    "log_mass_sequence",
-    "maximal_abs_cont",
-    "perron",
-    "perron_from_log",
-    "BoundedFn",
-    "CertResult",
-    "VarSolution",
-    "acd_certify",
-    "acd_inf",
-    "acd_sup",
-    "certify_inequality",
-    "dv_solve",
-    "log_exp_integral",
-    "objective",
-    "solve_variational",
-    "truncated_optimizer",
-    "truncation_caps",
-    "__version__",
-]
+__all__ = [*(name for module in _MODULES for name in module.__all__), "__version__"]
+del _MODULES

@@ -9,6 +9,21 @@ which module raised them.
 
 from __future__ import annotations
 
+__all__ = [
+    "RenyiVarError",
+    "InputValidationError",
+    "DimensionMismatchError",
+    "InvalidDistributionError",
+    "InvalidAlphaError",
+    "BalanceError",
+    "AbsoluteContinuityError",
+    "InfeasiblePointError",
+    "PathSpaceError",
+    "ExtRealArithmeticError",
+    "PerronConvergenceError",
+    "ClassStructureError",
+]
+
 
 class RenyiVarError(Exception):
     """Base class for all library errors."""

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .errors import ExtRealArithmeticError
 
+__all__ = ["ExtReal", "NEG_INF", "POS_INF"]
+
 
 @dataclass(frozen=True, order=True)
 class ExtReal:

@@ -51,9 +51,24 @@ def logsumexp(a: np.ndarray | list, axis: int | None = None):
     return np.squeeze(pivot, axis=axis) + out
 
 
+# Terms a[i, k] + b[k, j] that log_matmul aims to hold at once (8 MiB of floats).
+_MATMUL_TERMS = 2**20
+
+
 def log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product in log space: out[i, j] = LSE_k (a[i, k] + b[k, j])."""
-    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+    """Matrix product in log space: out[i, j] = LSE_k (a[i, k] + b[k, j]).
+
+    The terms are formed for a block of rows of ``a`` at a time, at most
+    ``max(_MATMUL_TERMS, b.size)`` of them (one row of ``a`` at the least), so
+    memory stays linear in the size of ``b``.  Each entry is reduced on its
+    own, so the blocks change no bit of the result.
+    """
+    rows = max(1, _MATMUL_TERMS // max(1, b.size))
+    out = np.empty((a.shape[0], b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        block = slice(start, start + rows)
+        out[block] = logsumexp(a[block, :, None] + b[None, :, :], axis=1)
+    return out
 
 
 def log_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -184,11 +184,9 @@ def solve_variational(alpha: Alpha, nu: Dist, theta: Dist) -> VarSolution:
 
 
 def _signed_gap(upper: ExtReal, lower: ExtReal) -> float:
-    """upper - lower as a float slack; equal infinities count as zero gap."""
+    """upper - lower as a float slack, +-inf if one side is; equal infinities count as zero gap."""
     if upper.raw == lower.raw and not upper.is_finite:
         return 0.0
-    if not upper.is_finite or not lower.is_finite:
-        return upper.raw - lower.raw  # one side finite: a true +-inf
     return upper.raw - lower.raw
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from renyivar import numerics
 from renyivar.numerics import log_matmul, log_matrix_power, logsumexp, safe_log
 
 
@@ -54,6 +56,50 @@ def test_log_matmul_matches_dense():
     b = rng.gamma(1.0, 1.0, size=(4, 4)) * (rng.random((4, 4)) < 0.8)
     got = np.exp(log_matmul(safe_log(a), safe_log(b)))
     np.testing.assert_allclose(got, a @ b, rtol=1e-12, atol=1e-300)
+
+
+def _one_shot_log_matmul(a, b):
+    """The unblocked form of log_matmul, kept as the reference for its blocks."""
+    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+
+
+def _random_log_matrix(rng, shape):
+    m = rng.normal(scale=50.0, size=shape)
+    m[rng.random(shape) < rng.uniform(0.0, 0.9)] = -math.inf
+    return m
+
+
+@pytest.mark.parametrize("terms", [1, 5, 64, 1000])
+def test_log_matmul_blocks_match_one_shot_bytes(monkeypatch, terms):
+    monkeypatch.setattr(numerics, "_MATMUL_TERMS", terms)
+    rng = np.random.default_rng(terms)
+    for _ in range(40):
+        d, k, m = rng.integers(1, 40, size=3)
+        a, b = _random_log_matrix(rng, (d, k)), _random_log_matrix(rng, (k, m))
+        want = _one_shot_log_matmul(a, b)
+        got = log_matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_log_matmul_default_blocks_match_one_shot_bytes():
+    rng = np.random.default_rng(11)
+    a, b = _random_log_matrix(rng, (300, 64)), _random_log_matrix(rng, (64, 200))
+    assert b.size * a.shape[0] > numerics._MATMUL_TERMS  # several blocks
+    assert log_matmul(a, b).tobytes() == _one_shot_log_matmul(a, b).tobytes()
+
+
+def test_log_matmul_memory_stays_bounded():
+    # The one-shot form holds three 200**3 float temporaries (184 MiB).
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(200, 200)), rng.normal(size=(200, 200))
+    tracemalloc.start()
+    try:
+        log_matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_log_matrix_power_matches_repeated_multiplication():
