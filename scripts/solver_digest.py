@@ -10,9 +10,10 @@ every call of the sweep, for values, residuals, optimizers, Perron data,
 ``class_used``, slacks and rejections.
 
 Every call runs twice and both results are hashed: first cold, after
-``cache_clear()`` on every memo of ``renyivar.spectral`` (any module
-attribute that has one), then warm.  Equal digests therefore also mean that
-a memo hit returns the same bits as a recomputation, in both trees.
+``cache_clear()`` on every memo of every ``renyivar`` submodule (any module
+attribute that has one, such as the spectral steps and the Renyi
+divergence), then warm.  Equal digests therefore also mean that a memo hit
+returns the same bits as a recomputation, in both trees.
 
 Example (compare a change against its parent checkout):
 
@@ -243,7 +244,11 @@ def main() -> int:
     import workloads
 
     warnings.simplefilter("ignore")  # floating-point warnings are not results
-    memos = [obj for obj in vars(rv.spectral).values() if callable(getattr(obj, "cache_clear", None))]
+    memos = list({
+        id(obj): obj
+        for name, module in list(sys.modules.items()) if name.startswith("renyivar.")
+        for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))
+    }.values())
     digest = Digest(rv.RenyiVarError, memos)
     for seed in SEEDS:
         rng = np.random.default_rng(seed)

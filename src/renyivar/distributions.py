@@ -23,6 +23,13 @@ Conventions, fixed once for the whole library (natural logarithm throughout):
 
 All order-``a`` power sums are evaluated in log space (see
 :mod:`renyivar.numerics`), so extreme orders and tiny weights do not overflow.
+
+Each :class:`Dist` builds its support mask once and its log-weights at first
+use; the Renyi divergence is memoised on the order and the exact bytes of the
+two weight vectors (:func:`renyivar.numerics.memoised`), because the
+certificates evaluate it on the same pair many times over.  A cached logarithm
+is the very ``np.log`` of the same float, and a memo hit returns what a
+recomputation would, so neither changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     InvalidDistributionError,
 )
 from .extreal import POS_INF, ExtReal
-from .numerics import logsumexp, safe_log
+from .numerics import logsumexp, memoised
 
 __all__ = [
     "Dist",
@@ -60,7 +67,9 @@ class Dist:
     and normalizes it to total mass one (so distributions survive a JSON
     round-trip without accumulating drift).  Entries exactly zero stay
     exactly zero: support questions are answered by equality with 0, never by
-    thresholding.  The stored array is read-only.
+    thresholding.  The stored array is read-only, and so are the derived
+    ``support`` mask (built at construction) and ``log_weights`` (built at
+    first use).  Neither is a dataclass field.
     """
 
     weights: np.ndarray
@@ -69,9 +78,9 @@ class Dist:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidDistributionError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise InvalidDistributionError("weights must be finite")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidDistributionError("weights must be nonnegative")
         with np.errstate(over="ignore"):
             total = float(w.sum())
@@ -81,7 +90,11 @@ class Dist:
             raise InvalidDistributionError("weights must not be identically zero")
         w = w / total
         w.flags.writeable = False
+        support = w > 0
+        support.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_log_weights", None)
 
     @property
     def d(self) -> int:
@@ -89,9 +102,18 @@ class Dist:
         return int(self.weights.shape[0])
 
     @property
-    def support(self) -> np.ndarray:
-        """Boolean mask of states carrying positive mass."""
-        return self.weights > 0
+    def log_weights(self) -> np.ndarray:
+        """Natural log of the weights: ``np.log`` on the support, ``-inf`` off it.
+
+        Built at first use and kept (the random searches build many
+        distributions that never need it).
+        """
+        if self._log_weights is None:
+            out = np.full(self.weights.shape, -math.inf)
+            np.log(self.weights, out=out, where=self.support)
+            out.flags.writeable = False
+            object.__setattr__(self, "_log_weights", out)
+        return self._log_weights
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dist({np.array2string(self.weights, max_line_width=70)})"
@@ -131,9 +153,11 @@ class Alpha:
 
 def _check_dims(*operands) -> None:
     """Raise unless all operands (anything with a size ``.d``) share one size."""
-    sizes = {operand.d for operand in operands}
-    if len(sizes) > 1:
-        raise DimensionMismatchError(f"operands live on spaces of different sizes: {sorted(sizes)}")
+    d = operands[0].d
+    for operand in operands:
+        if operand.d != d:
+            sizes = {operand.d for operand in operands}
+            raise DimensionMismatchError(f"operands live on spaces of different sizes: {sorted(sizes)}")
 
 
 def _feasible_support(regime: str, nu_support: np.ndarray, theta_support: np.ndarray) -> np.ndarray:
@@ -152,7 +176,7 @@ def _feasible_support(regime: str, nu_support: np.ndarray, theta_support: np.nda
 def abs_cont(nu: Dist, theta: Dist) -> bool:
     """True when nu is absolutely continuous w.r.t. theta (support containment)."""
     _check_dims(nu, theta)
-    return bool(np.all(nu.weights[theta.weights == 0] == 0))
+    return bool((nu.support <= theta.support).all())
 
 
 def rel_entropy(nu: Dist, theta: Dist) -> ExtReal:
@@ -161,26 +185,28 @@ def rel_entropy(nu: Dist, theta: Dist) -> ExtReal:
         return POS_INF
     mask = nu.support
     n = nu.weights[mask]
-    t = theta.weights[mask]
-    return ExtReal.finite(float(np.sum(n * (np.log(n) - np.log(t)))))
+    return ExtReal.finite(float((n * (nu.log_weights[mask] - theta.log_weights[mask])).sum()))
 
 
-def _renyi(a: float, nu: Dist, theta: Dist) -> ExtReal:
+@memoised
+def _renyi(a: float, nu: np.ndarray, theta: np.ndarray) -> ExtReal:
+    """R_a between the normalized weight vectors ``nu`` and ``theta``."""
     if a < 0:
-        return _renyi(1.0 - a, theta, nu)
-    if a > 1 and not abs_cont(nu, theta):
+        a, nu, theta = 1.0 - a, theta, nu
+    nu_support, theta_support = nu > 0, theta > 0
+    if a > 1 and not (nu_support <= theta_support).all():
         return POS_INF
-    mask = nu.support & theta.support
+    mask = nu_support & theta_support
     if not mask.any():
         return POS_INF
-    log_terms = a * np.log(nu.weights[mask]) + (1.0 - a) * np.log(theta.weights[mask])
+    log_terms = a * np.log(nu[mask]) + (1.0 - a) * np.log(theta[mask])
     return ExtReal.finite(logsumexp(log_terms) / (a * (a - 1.0)))
 
 
 def renyi_div(alpha: Alpha, nu: Dist, theta: Dist) -> ExtReal:
     """Renyi divergence R_alpha(nu || theta) under the library conventions."""
     _check_dims(nu, theta)
-    return _renyi(alpha.value, nu, theta)
+    return _renyi(alpha.value, nu.weights, theta.weights)
 
 
 def renyi_via_reference(alpha: Alpha, nu: Dist, theta: Dist, eta: Dist) -> ExtReal:
@@ -207,7 +233,8 @@ def _renyi_via_reference(a: float, nu: Dist, theta: Dist, eta: Dist) -> ExtReal:
     mask = nu.support & theta.support
     if not mask.any():
         return POS_INF
-    log_nu_density = np.log(nu.weights[mask]) - np.log(eta.weights[mask])
-    log_theta_density = np.log(theta.weights[mask]) - np.log(eta.weights[mask])
-    log_terms = a * log_nu_density + (1.0 - a) * log_theta_density + safe_log(eta.weights[mask])
+    log_eta = eta.log_weights[mask]
+    log_nu_density = nu.log_weights[mask] - log_eta
+    log_theta_density = theta.log_weights[mask] - log_eta
+    log_terms = a * log_nu_density + (1.0 - a) * log_theta_density + log_eta
     return ExtReal.finite(logsumexp(log_terms) / (a * (a - 1.0)))

@@ -4,10 +4,15 @@ Sums of products like sum_x nu(x)^a theta(x)^(1-a) and entries of high matrix
 powers overflow or underflow quickly, so every reduction in this library runs
 in log space.  The convention throughout: ``-inf`` is the logarithm of zero.
 Such entries drop out of log-sum-exp reductions and never turn into NaN.
+
+The module also holds :func:`memoised`, the one cache of the library: it keys
+a deterministic function on its scalar arguments and the exact bytes of its
+array arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,10 +43,10 @@ def logsumexp(a: np.ndarray | list, axis: int | None = None):
     if axis is None:
         if a.size == 0:
             return -math.inf
-        m = float(np.max(a))
+        m = float(a.max())
         if m == -math.inf:
             return -math.inf
-        return m + math.log(float(np.sum(np.exp(a - m))))
+        return m + math.log(float(np.exp(a - m).sum()))
     m = np.max(a, axis=axis, keepdims=True)
     # Replace -inf pivots by 0 so the subtraction below never forms inf-inf.
     pivot = np.where(np.isneginf(m), 0.0, m)
@@ -91,3 +96,46 @@ def log_matrix_power(log_m: np.ndarray, n: int) -> np.ndarray:
         base = log_matmul(base, base)
     assert result is not None
     return result
+
+
+# With these bounds a memo's array keys take at most 64 entries x 64 x 64 floats x 8 bytes = 2 MiB
+# per array argument.
+MEMO_ENTRIES = 64
+MEMO_MAX_STATES = 64
+
+# Heads the key of an array argument: (_ARRAY, shape, dtype, bytes).  A plain tuple is
+# built faster than a named tuple on every call, and no scalar argument can pose as one.
+_ARRAY = object()
+
+
+def memoised(f):
+    """``f(*args)`` memoised on its hashable scalars and the exact bytes of its arrays.
+
+    Each array argument is keyed on its shape, dtype and C-order bytes, and
+    ``f`` sees a read-only array rebuilt from those bytes; ``f`` is
+    deterministic and returns immutable or read-only results, so a hit gives
+    what a recomputation would.  A call with an array of more than
+    ``MEMO_MAX_STATES`` rows calls ``f`` directly, on C-contiguous copies of
+    its arrays.  At most ``MEMO_ENTRIES`` results are kept, least recently
+    used first out.
+    """
+    @functools.lru_cache(maxsize=MEMO_ENTRIES)
+    def by_key(*key):
+        return f(*[
+            np.frombuffer(k[3], dtype=k[2]).reshape(k[1]) if type(k) is tuple and k and k[0] is _ARRAY else k
+            for k in key
+        ])
+
+    @functools.wraps(f)
+    def wrapper(*args):
+        key = []
+        for x in args:
+            if isinstance(x, np.ndarray):
+                if x.ndim and x.shape[0] > MEMO_MAX_STATES:
+                    return f(*[np.ascontiguousarray(y) if isinstance(y, np.ndarray) else y for y in args])
+                x = (_ARRAY, x.shape, x.dtype.str, x.tobytes())
+            key.append(x)
+        return by_key(*key)
+
+    wrapper.cache_clear, wrapper.cache_info = by_key.cache_clear, by_key.cache_info
+    return wrapper

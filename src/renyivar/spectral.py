@@ -23,16 +23,16 @@ root are both of order one, whatever the dynamic range of the input.
 
 Class finding on a support pattern, the dominant class of a log-matrix, and
 the balancing with the right and the left power iteration of a class block are
-memoised on the exact bytes of their input (:func:`_memoised`): the Markov
-certificates repeat them on the same matrices many times over.  Each step is
-deterministic and returns read-only results, so a hit gives the very floats a
-recomputation would.  Each memo holds at most 64 arrays of at most 64 rows.  As
-an exact fast path, a complete support digraph is one cyclic class at once.
+memoised on the exact bytes of their input (:func:`renyivar.numerics.memoised`):
+the Markov certificates repeat them on the same matrices many times over.
+Each step is deterministic and returns read-only results, so a hit gives the
+very floats a recomputation would.  Each memo holds at most 64 arrays of at
+most 64 rows.  As an exact fast path, a complete support digraph is one cyclic
+class at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -47,7 +47,7 @@ from .errors import (
     PerronConvergenceError,
 )
 from .extreal import NEG_INF, ExtReal
-from .numerics import log_matmul, log_matrix_power, logsumexp, safe_log
+from .numerics import log_matmul, log_matrix_power, logsumexp, memoised, safe_log
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .markov import PairMeasure
@@ -305,39 +305,13 @@ def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarr
     return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
 
 
-# With these bounds each memo's keys take at most 64 arrays x 64 x 64 entries x 8 bytes = 2 MiB.
-_MEMO_ENTRIES = 64
-_MEMO_MAX_STATES = 64
-
-
-def _memoised(f):
-    """``f(array)`` memoised on the shape, dtype and bytes of the contiguous array.
-
-    ``f`` is deterministic and returns read-only arrays, so a hit gives what a
-    recomputation would.  Arrays above ``_MEMO_MAX_STATES`` rows call ``f``.
-    """
-    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-    def by_bytes(shape: tuple[int, ...], dtype: str, data: bytes):
-        return f(np.frombuffer(data, dtype=dtype).reshape(shape))
-
-    @functools.wraps(f)
-    def memoised(array: np.ndarray):
-        array = np.ascontiguousarray(array)
-        if array.shape[0] > _MEMO_MAX_STATES:
-            return f(array)
-        return by_bytes(array.shape, array.dtype.str, array.tobytes())
-
-    memoised.cache_clear, memoised.cache_info = by_bytes.cache_clear, by_bytes.cache_info
-    return memoised
-
-
-@_memoised
+@memoised
 def _classes_of(support: np.ndarray) -> ClassDecomposition:
     """Classes of a whole boolean support digraph."""
     return _decompose(support, range(support.shape[0]))
 
 
-@_memoised
+@memoised
 def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """``(mu, pot, lam, right)``: balance a class block, then iterate on the right."""
     mu, pot = _tropical_balance(block_log)
@@ -347,7 +321,7 @@ def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.nda
     return mu, pot, lam, right
 
 
-@_memoised
+@memoised
 def _left_step(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     """``(lam, left)``: the left iteration on the block balanced by :func:`_class_step`."""
     mu, pot, _, _ = _class_step(block_log)
@@ -407,7 +381,7 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
     return _locate_dominant(log_entries)
 
 
-@_memoised
+@memoised
 def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
     decomposition = _classes_of(log_entries > -math.inf)
     best: tuple[int, tuple[int, ...], float] | None = None

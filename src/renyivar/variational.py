@@ -33,6 +33,7 @@ floating infinity ever propagates through arithmetic silently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class BoundedFn:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise InputValidationError("function values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputValidationError("function values must be finite")
         v = v.copy()
         v.flags.writeable = False
@@ -133,7 +134,7 @@ def _geometric_mixture(a: float, nu: Dist, theta: Dist) -> Dist | None:
     if not mask.any():
         return None
     log_w = np.full(nu.d, -math.inf)
-    log_w[mask] = a * np.log(nu.weights[mask]) + (1.0 - a) * np.log(theta.weights[mask])
+    log_w[mask] = a * nu.log_weights[mask] + (1.0 - a) * theta.log_weights[mask]
     log_z = logsumexp(log_w)
     weights = np.zeros(nu.d)
     weights[mask] = np.exp(log_w[mask] - log_z)
@@ -167,11 +168,11 @@ def solve_variational(alpha: Alpha, nu: Dist, theta: Dist) -> VarSolution:
     a = alpha.value
     regime = alpha.regime
     if a > 1 and not abs_cont(nu, theta):
-        witness = int(np.flatnonzero((theta.weights == 0) & (nu.weights > 0))[0])
+        witness = int(np.flatnonzero(nu.support & ~theta.support)[0])
         mu = _point_mass(nu.d, witness)
         return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, objective(alpha, mu, nu, theta)))
     if a < 0 and not abs_cont(theta, nu):
-        witness = int(np.flatnonzero((nu.weights == 0) & (theta.weights > 0))[0])
+        witness = int(np.flatnonzero(theta.support & ~nu.support)[0])
         mu = _point_mass(nu.d, witness)
         return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, objective(alpha, mu, nu, theta)))
     mu_star = _geometric_mixture(a, nu, theta)
@@ -201,7 +202,7 @@ def certify_inequality(
     """
     _check_dims(mu, nu, theta)
     regime = alpha.regime
-    if np.any(mu.support & ~_feasible_support(regime, nu.support, theta.support)):
+    if (mu.support & ~_feasible_support(regime, nu.support, theta.support)).any():
         raise InfeasiblePointError(f"candidate violates the support constraint of regime {regime}")
     value = renyi_div(alpha, nu, theta)
     candidate = objective(alpha, mu, nu, theta)
@@ -212,14 +213,18 @@ def certify_inequality(
     return CertResult(passed=slack >= -tol, slack=slack)
 
 
+# Density ratios with a larger log overflow to inf.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _log_density_ratio(a: float, nu: Dist, theta: Dist, reference: Dist) -> np.ndarray:
     """log of (dnu/deta)^a (dtheta/deta)^(1-a) where defined, -inf elsewhere."""
     mask = nu.support & theta.support
     out = np.full(nu.d, -math.inf)
-    log_eta = np.log(reference.weights[mask])
+    log_eta = reference.log_weights[mask]
     out[mask] = (
-        a * (np.log(nu.weights[mask]) - log_eta)
-        + (1.0 - a) * (np.log(theta.weights[mask]) - log_eta)
+        a * (nu.log_weights[mask] - log_eta)
+        + (1.0 - a) * (theta.log_weights[mask] - log_eta)
     )
     return out
 
@@ -231,6 +236,8 @@ def truncation_caps(
 
     The grid is guaranteed to eventually exceed the largest ratio, at which
     point the truncated optimizer coincides with the full geometric mixture.
+    Every cap is a finite float: when the largest ratio or the grid reaching
+    it would overflow, ``InputValidationError`` says so.
     """
     if doublings < 1:
         raise InputValidationError("need at least one cap")
@@ -239,11 +246,19 @@ def truncation_caps(
     finite = log_ratio[log_ratio > -math.inf]
     if finite.size == 0:
         raise InputValidationError("no state carries a positive density ratio")
+    log_largest = np.max(finite)
+    if log_largest > _LOG_FLOAT_MAX:
+        raise InputValidationError(
+            f"the largest density ratio overflows a float: its log {float(log_largest)!r} "
+            f"exceeds {_LOG_FLOAT_MAX!r}"
+        )
     start = float(np.exp(np.median(finite)))
-    largest = float(np.exp(np.max(finite)))
+    largest = float(np.exp(log_largest))
     caps = [start * (2.0**k) for k in range(doublings)]
     while caps[-1] < largest:
         caps.append(caps[-1] * 2.0)
+    if caps[-1] == math.inf:
+        raise InputValidationError("the doubling grid of caps overflows a float")
     return caps
 
 
@@ -275,7 +290,7 @@ def truncated_optimizer(
     if not keep.any():
         raise InputValidationError("cap lies below the smallest positive density ratio")
     log_terms = np.full(nu.d, -math.inf)
-    log_terms[keep] = log_ratio[keep] + np.log(eta.weights[keep])
+    log_terms[keep] = log_ratio[keep] + eta.log_weights[keep]
     log_z = logsumexp(log_terms)
     weights = np.zeros(nu.d)
     weights[keep] = np.exp(log_terms[keep] - log_z)
@@ -284,13 +299,13 @@ def truncated_optimizer(
 
 def _log_tilt_sum(g: BoundedFn, factor: float, ref: Dist, mask: np.ndarray) -> float:
     """log sum over ``mask`` of e^{factor * g(x)} ref(x)."""
-    return logsumexp(factor * g.values[mask] + np.log(ref.weights[mask]))
+    return logsumexp(factor * g.values[mask] + ref.log_weights[mask])
 
 
 def _tilt(g: BoundedFn, factor: float, ref: Dist) -> tuple[Dist, float]:
     """The tilt ∝ e^{factor * g} ref on the support of ``ref``, and its log normalizer."""
     mask = ref.support
-    log_w = factor * g.values[mask] + np.log(ref.weights[mask])
+    log_w = factor * g.values[mask] + ref.log_weights[mask]
     log_z = logsumexp(log_w)
     weights = np.zeros(ref.d)
     weights[mask] = np.exp(log_w - log_z)

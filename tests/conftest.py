@@ -8,6 +8,8 @@ fixed point's rounding, far inside the PairMeasure tolerance.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def library_memos() -> list:
+    """Every memo of the library: each function of a renyivar module with a ``cache_clear``."""
+    memos = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("renyivar."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    memos[id(obj)] = obj
+    return list(memos.values())
+
+
+def clear_memos() -> None:
+    for memo in library_memos():
+        memo.cache_clear()
 
 
 def random_dist(rng: np.random.Generator, d: int, shape: float = 1.0) -> Dist:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from renyivar import (
     renyi_div,
     renyi_via_reference,
 )
+from renyivar import distributions, numerics
+from conftest import ALPHA_GRID
 
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)  # two-term sums done by hand
 
@@ -67,6 +70,33 @@ class TestDistConstruction:
         d = Dist([0.5, 0.5])
         with pytest.raises(ValueError):
             d.weights[0] = 1.0
+
+    def test_log_weights_are_np_log_on_the_support(self):
+        # lengths 1-70 cover the vector loops of np.log and their scalar tails
+        rng = np.random.default_rng(7)
+        specials = [0.0, 5e-324, 1e-310, 1e-300]
+        for d in range(1, 71):
+            w = rng.gamma(1.0, size=d)
+            w /= w.sum()  # a total near 1 keeps the subnormal weights below
+            w[rng.random(d) < 0.25] = 0.0
+            w[rng.integers(d, size=min(d, len(specials)))] = specials[: min(d, len(specials))]
+            w[rng.integers(d)] = 0.5
+            dist = Dist(w)
+            mask = dist.support
+            assert np.array_equal(mask, dist.weights > 0)
+            assert dist.log_weights[mask].tobytes() == np.log(dist.weights[mask]).tobytes()
+            assert np.all(dist.log_weights[~mask] == -math.inf)
+            sub = mask & (rng.random(d) < 0.5)  # what the divergences gather
+            assert dist.log_weights[sub].tobytes() == np.log(dist.weights[sub]).tobytes()
+        assert Dist([1.0, 5e-324]).log_weights[1] == math.log(5e-324)
+
+    def test_support_and_log_weights_read_only(self):
+        d = Dist([0.5, 0.0, 0.5])
+        for derived in (d.support, d.log_weights):
+            with pytest.raises(ValueError):
+                derived[0] = derived[1]
+        assert d.log_weights is d.log_weights  # built once
+        assert [field.name for field in dataclasses.fields(Dist)] == ["weights"]
 
 
 class TestAlpha:
@@ -149,6 +179,53 @@ class TestRenyiDiv:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             renyi_div(Alpha(2.0), Dist([1.0]), Dist([0.5, 0.5]))
+
+
+class TestRenyiMemo:
+    """``renyi_div`` is memoised on the order and the bytes of both weight vectors."""
+
+    def _pairs(self, rng):
+        for d in (1, 2, 3, 7, 30):
+            nu, theta = rng.gamma(1.0, size=(2, d))
+            nu[rng.random(d) < 0.3] = 0.0
+            theta[rng.integers(d)] = 1e-310
+            nu[rng.integers(d)] = 1.0
+            yield Dist(nu), Dist(theta)
+
+    def test_hit_equals_cold_computation(self, rng):
+        pairs = list(self._pairs(rng))
+        orders = [Alpha(a) for a in ALPHA_GRID]
+
+        def values(clear):
+            out = []
+            for nu, theta in pairs:
+                for alpha in orders:
+                    if clear:
+                        distributions._renyi.cache_clear()
+                    out.append(repr(renyi_div(alpha, nu, theta).raw))
+                    out.append(repr(renyi_div(alpha, theta, nu).raw))
+            return out
+
+        cold = values(clear=True)
+        distributions._renyi.cache_clear()
+        values(clear=False)  # fill the memo
+        hits = distributions._renyi.cache_info().hits
+        assert values(clear=False) == cold
+        assert distributions._renyi.cache_info().hits > hits
+        # a copy of the weights hits the memo too: the key is the bytes, not the object
+        nu, theta = pairs[-1]
+        copy = Dist(nu.weights.copy())
+        assert renyi_div(orders[0], copy, theta) is renyi_div(orders[0], nu, theta)
+
+    def test_memo_is_bounded_and_bypassed_above_the_state_cap(self, rng):
+        distributions._renyi.cache_clear()
+        big = Dist(rng.gamma(1.0, size=numerics.MEMO_MAX_STATES + 1))
+        renyi_div(Alpha(2.0), big, big)
+        assert distributions._renyi.cache_info().currsize == 0
+        nu, theta = Dist([0.5, 0.5]), Dist([0.25, 0.75])
+        for k in range(numerics.MEMO_ENTRIES + 5):
+            renyi_div(Alpha(2.0 + k), nu, theta)
+        assert distributions._renyi.cache_info().currsize == numerics.MEMO_ENTRIES
 
 
 class TestReference:

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from renyivar import numerics
-from renyivar.numerics import log_matmul, log_matrix_power, logsumexp, safe_log
+from renyivar.numerics import log_matmul, log_matrix_power, logsumexp, memoised, safe_log
+from conftest import library_memos
 
 
 def test_safe_log_zero():
@@ -122,3 +123,50 @@ def test_log_matrix_power_huge_exponent_no_overflow():
     out = log_matrix_power(log_a, 4096)
     assert np.isfinite(out).all()
     assert out.max() > 2000.0
+
+
+def _memo_probe():
+    """A memoised function of a scalar and two arrays that counts its evaluations."""
+    evaluations = []
+
+    @memoised
+    def probe(scale, x, y):
+        evaluations.append((scale, x.tobytes(), y.tobytes()))
+        out = scale * x + y
+        out.flags.writeable = False
+        return out
+
+    return probe, evaluations
+
+
+def test_memoised_keys_on_scalars_and_array_bytes():
+    probe, evaluations = _memo_probe()
+    x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+    first = probe(2.0, x, y)
+    assert probe(2.0, x.copy(), y.copy()) is first  # equal bytes: a hit
+    assert probe(2.0, np.asfortranarray(x), y) is first  # the key is the C-order bytes
+    assert len(evaluations) == 1
+    probe(3.0, x, y)  # another scalar
+    probe(2.0, x, np.nextafter(y, 2.0))  # y moved by one ulp
+    probe(2.0, x.reshape(2, 3), y.reshape(2, 3))  # same bytes, other shape
+    assert len(evaluations) == 4
+    assert probe.cache_info().hits == 2
+    assert first.tobytes() == (2.0 * x + y).tobytes()
+
+
+def test_memoised_is_bounded_and_bypassed_above_the_state_cap():
+    probe, evaluations = _memo_probe()
+    small, big = np.zeros((1, 1)), np.zeros((numerics.MEMO_MAX_STATES + 1, 1))
+    for args in ((1.0, big, big), (1.0, small, big), (1.0, big, small)):  # broadcast to big
+        probe(*args)
+        probe(*args)
+    assert probe.cache_info().currsize == 0 and len(evaluations) == 6
+    for k in range(numerics.MEMO_ENTRIES + 5):
+        probe(float(k), small, small)
+    assert probe.cache_info().currsize == numerics.MEMO_ENTRIES
+
+
+def test_every_library_memo_is_bounded():
+    memos = library_memos()
+    assert len(memos) >= 5  # four spectral steps and the Renyi divergence
+    assert all(memo.cache_info().maxsize == numerics.MEMO_ENTRIES for memo in memos)

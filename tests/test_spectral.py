@@ -22,8 +22,9 @@ from renyivar import (
     perron,
     perron_from_log,
 )
-from renyivar import spectral
+from renyivar import numerics, spectral
 from renyivar.numerics import safe_log
+from conftest import clear_memos
 
 
 def random_matrix(rng, d, density=0.7, scale=2.0):
@@ -395,8 +396,7 @@ MEMO_USERS = {
 
 def _clear_memos(clear=True):
     if clear:
-        for name in MEMO_USERS:
-            getattr(spectral, name).cache_clear()
+        clear_memos()
 
 
 def _arrays_in(result):
@@ -475,11 +475,11 @@ class TestClassStep:
     def test_memo_holds_a_bounded_number_of_small_blocks(self, name):
         memo, (make, _) = getattr(spectral, name), MEMO_USERS[name]
         _clear_memos()
-        memo(np.zeros((spectral._MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype))
+        memo(np.zeros((numerics.MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype))
         assert memo.cache_info().currsize == 0
-        for k in range(spectral._MEMO_ENTRIES + 5):
+        for k in range(numerics.MEMO_ENTRIES + 5):
             memo(make(k))
-        assert memo.cache_info().currsize == spectral._MEMO_ENTRIES
+        assert memo.cache_info().currsize == numerics.MEMO_ENTRIES
 
 
 def test_memo_users_are_every_memo_of_spectral():

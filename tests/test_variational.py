@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from renyivar import (
     Dist,
     ExtRealArithmeticError,
     InfeasiblePointError,
+    InputValidationError,
     acd_certify,
     acd_inf,
     acd_sup,
@@ -176,6 +178,27 @@ class TestTruncationFamily:
             assert abs(v - target) <= 1e-12
         gaps = [abs(v - target) for v in values]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+    def test_overflowing_ratio_is_rejected_without_warnings(self):
+        # order-5 ratio at state 1 is about e^2761: no float cap can reach it
+        nu, th = Dist([0.5, 0.5]), Dist([1.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputValidationError, match="largest density ratio overflows"):
+                truncation_caps(Alpha(5.0), nu, th)
+
+    def test_caps_stay_finite_or_the_grid_is_rejected(self):
+        nu = Dist([0.5, 0.5, 0.5])
+        alpha = Alpha(5.0)
+        # largest ratio near 1e305: the grid reaches it with finite caps, the last one usable
+        th = Dist([1.0, 1e-76, 1e-76])
+        caps = truncation_caps(alpha, nu, th)
+        assert all(math.isfinite(cap) for cap in caps)
+        mu, _ = truncated_optimizer(alpha, nu, th, caps[-1])
+        np.testing.assert_allclose(mu.weights, solve_variational(alpha, nu, th).optimizer.weights, rtol=1e-12, atol=0)
+        # largest ratio near 1e308 is finite, but doubling the median past it is not
+        with pytest.raises(InputValidationError, match="grid of caps overflows"):
+            truncation_caps(alpha, nu, Dist([1.0, 1e-77, 1e-77]))
 
 
 class TestDonskerVaradhan:
