@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
     InvalidDistributionError,
 )
 from .extreal import POS_INF, ExtReal
-from .numerics import logsumexp, memoised
+from .numerics import checked_array, logsumexp, memoised
 
 __all__ = [
     "Dist",
@@ -75,45 +76,28 @@ class Dist:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidDistributionError("weights must be a nonempty 1-d array")
-        if not np.isfinite(w).all():
-            raise InvalidDistributionError("weights must be finite")
-        if (w < 0).any():
-            raise InvalidDistributionError("weights must be nonnegative")
-        with np.errstate(over="ignore"):
-            total = float(w.sum())
-        if not math.isfinite(total):
-            raise InvalidDistributionError("the total of the weights overflows")
-        if total <= 0.0:
-            raise InvalidDistributionError("weights must not be identically zero")
-        w = w / total
-        w.flags.writeable = False
+        w = checked_array(self.weights, "weights", InvalidDistributionError, nonneg=True, normalise=True)
         support = w > 0
         support.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_log_weights", None)
 
     @property
     def d(self) -> int:
         """Alphabet size."""
         return int(self.weights.shape[0])
 
-    @property
+    @cached_property
     def log_weights(self) -> np.ndarray:
         """Natural log of the weights: ``np.log`` on the support, ``-inf`` off it.
 
         Built at first use and kept (the random searches build many
         distributions that never need it).
         """
-        if self._log_weights is None:
-            out = np.full(self.weights.shape, -math.inf)
-            np.log(self.weights, out=out, where=self.support)
-            out.flags.writeable = False
-            object.__setattr__(self, "_log_weights", out)
-        return self._log_weights
+        out = np.full(self.weights.shape, -math.inf)
+        np.log(self.weights, out=out, where=self.support)
+        out.flags.writeable = False
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dist({np.array2string(self.weights, max_line_width=70)})"

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .errors import (
     PathSpaceError,
 )
 from .extreal import POS_INF, ExtReal
+from .numerics import checked_array
 from .spectral import growth_rate_from_log
 
 __all__ = [
@@ -79,27 +81,15 @@ class PairMeasure:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InvalidDistributionError("a pair measure must be a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidDistributionError("pair-measure entries must be finite")
-        if np.any(m < 0):
-            raise InvalidDistributionError("pair-measure entries must be nonnegative")
-        with np.errstate(over="ignore"):
-            total = float(m.sum())
-        if not math.isfinite(total):
-            raise InvalidDistributionError("the total mass of the pair measure overflows")
-        if total <= 0.0:
-            raise InvalidDistributionError("a pair measure must have positive total mass")
-        m = m / total
+        m = checked_array(
+            self.entries, "pair-measure entries", InvalidDistributionError, square=True, nonneg=True, normalise=True
+        )
         imbalance = float(np.max(np.abs(m.sum(axis=1) - m.sum(axis=0))))
         if imbalance > TOL.balance:
             raise BalanceError(
                 f"row and column marginals disagree by {imbalance:.3e} (limit {TOL.balance:.0e}); "
                 "not a stationary pair measure"
             )
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
@@ -115,6 +105,15 @@ class PairMeasure:
     def edge_support(self) -> np.ndarray:
         """Boolean adjacency of edges carrying positive mass."""
         return self.entries > 0
+
+    @cached_property
+    def _kernel(self) -> "Kernel":
+        marginal = self.state_marginal
+        rows = np.zeros_like(self.entries)
+        on = marginal > 0
+        rows[on] = self.entries[on] / marginal[on, None]
+        rows.flags.writeable = False
+        return Kernel(rows=rows, support_states=support(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,16 +139,7 @@ def kernel(nu: PairMeasure) -> Kernel:
 
     Computed once per pair measure and kept on it: both are immutable.
     """
-    cached = nu.__dict__.get("_kernel")
-    if cached is None:
-        marginal = nu.state_marginal
-        rows = np.zeros_like(nu.entries)
-        on = marginal > 0
-        rows[on] = nu.entries[on] / marginal[on, None]
-        rows.flags.writeable = False
-        cached = Kernel(rows=rows, support_states=support(nu))
-        object.__setattr__(nu, "_kernel", cached)
-    return cached
+    return nu._kernel
 
 
 def abs_cont_pair(nu: PairMeasure, theta: PairMeasure) -> bool:

@@ -41,13 +41,13 @@ from .errors import InfeasiblePointError, InputValidationError, PerronConvergenc
 from .extreal import POS_INF, ExtReal
 from .markov import (
     PairMeasure,
+    _rate,
     _tilted_log_kernel,
     abs_cont_pair,
     kernel,
     rel_entropy_rate,
-    renyi_rate,
 )
-from .numerics import logsumexp
+from .numerics import checked_array, logsumexp
 from .spectral import PerronData, dominant_class, growth_rate_from_log, perron_from_log
 from .variational import CertResult, _attainment_residual, _signed_gap
 
@@ -74,14 +74,7 @@ class EdgeFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-            raise InputValidationError("edge-function values must form a nonempty square matrix")
-        if not np.all(np.isfinite(v)):
-            raise InputValidationError("edge-function values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", checked_array(self.values, "edge-function values", square=True))
 
     @property
     def d(self) -> int:
@@ -217,8 +210,8 @@ def certify_markov_inequality(
     regime = alpha.regime
     if np.any(mu.edge_support & ~_feasible_support(regime, nu.edge_support, theta.edge_support)):
         raise InfeasiblePointError(f"candidate violates the support constraint of regime {regime}")
-    value = renyi_rate(alpha, nu, theta)
-    candidate = markov_objective(alpha, mu, nu, theta)
+    value = _rate(alpha.value, nu, theta)
+    candidate = _objective(alpha.value, mu, nu, theta)
     if regime == "alpha_in_01":
         slack = _signed_gap(candidate, value)
     else:
@@ -285,7 +278,7 @@ def markov_acd_sup(alpha: Alpha, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolu
     assert twisted is not None
     value, nu_star, cls, data = twisted
     recentred = growth_rate_from_log(_edge_tilt(g, nu_star, factor=a - 1.0))
-    attained = recentred.scale(1.0 / (a - 1.0)) - renyi_rate(alpha, nu_star, theta)
+    attained = recentred.scale(1.0 / (a - 1.0)) - _rate(a, nu_star, theta)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, nu_star, cls, data, residual)
 
@@ -303,7 +296,7 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
     assert twisted is not None
     value, theta_star, cls, data = twisted
     ambient = growth_rate_from_log(_edge_tilt(g, theta_star, factor=a))
-    attained = ambient.scale(1.0 / a) + renyi_rate(alpha, nu, theta_star)
+    attained = ambient.scale(1.0 / a) + _rate(a, nu, theta_star)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, theta_star, cls, data, residual)
 
@@ -351,7 +344,7 @@ def certify_markov_acd(
     a = alpha.value
     lhs = growth_rate_from_log(_edge_tilt(g, theta, factor=a)).raw / a
     rhs = growth_rate_from_log(_edge_tilt(g, nu, factor=a - 1.0)).raw / (a - 1.0)
-    rate = renyi_rate(alpha, nu, theta)
+    rate = _rate(a, nu, theta)
     if not rate.is_finite:
         return CertResult(passed=True, slack=math.inf)
     slack = lhs - rhs + rate.raw

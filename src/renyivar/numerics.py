@@ -5,9 +5,9 @@ powers overflow or underflow quickly, so every reduction in this library runs
 in log space.  The convention throughout: ``-inf`` is the logarithm of zero.
 Such entries drop out of log-sum-exp reductions and never turn into NaN.
 
-The module also holds :func:`memoised`, the one cache of the library: it keys
-a deterministic function on its scalar arguments and the exact bytes of its
-array arguments.
+It also holds :func:`checked_array`, the one rule for a valid input array, and
+:func:`memoised`, the one cache of the library: it keys a deterministic
+function on its scalar arguments and the exact bytes of its array arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +16,53 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import InputValidationError
+
+
+def checked_array(
+    x,
+    what: str,
+    error: type[Exception] = InputValidationError,
+    *,
+    square: bool = False,
+    nonneg: bool = False,
+    normalise: bool = False,
+    log: bool = False,
+) -> np.ndarray:
+    """``x`` as a read-only float64 copy, if it is a valid input array; else ``error``.
+
+    Valid: nonempty and 1-d, or with ``square`` a nonempty square matrix, of
+    finite entries, none negative with ``nonneg``.  With ``log`` the entries
+    are logs: ``-inf`` is allowed, NaN and ``+inf`` are not, the sign is free.
+    With ``normalise`` the array is divided by its total, which must be finite
+    and positive.  Messages read ``"{what} must ..."``, or ``"the total of the
+    {what} overflows"``.
+    """
+    a = np.asarray(x, dtype=float)
+    if square:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise error(f"{what} must form a nonempty square matrix")
+    elif a.ndim != 1 or a.size == 0:
+        raise error(f"{what} must be a nonempty 1-d array")
+    if not a.max() < math.inf:  # the max is NaN if an entry is, and no comparison with NaN holds
+        raise error(f"{what} must be finite or -inf" if log else f"{what} must be finite")
+    if not log:
+        lo = a.min()
+        if not lo > -math.inf:
+            raise error(f"{what} must be finite")
+        if nonneg and lo < 0:
+            raise error(f"{what} must be nonnegative")
+    if normalise:
+        with np.errstate(over="ignore"):
+            total = float(a.sum())
+        if not math.isfinite(total):
+            raise error(f"the total of the {what} overflows")
+        if total <= 0.0:
+            raise error(f"{what} must not be identically zero")
+    a = a / total if normalise else a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def safe_log(x: np.ndarray | float) -> np.ndarray:

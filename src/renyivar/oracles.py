@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Alpha, Dist, _check_dims, _feasible_support, rel_entropy, renyi_div
-from .errors import InputValidationError
+from .errors import DimensionMismatchError, InputValidationError
 from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, kernel, rel_entropy_rate, renyi_rate
-from .numerics import log_vecmat, logsumexp
+from .numerics import checked_array, log_vecmat, logsumexp
 from .spectral import NonnegMatrix, classes, growth_rate_from_log
 
 __all__ = [
@@ -101,6 +101,7 @@ def renyi_rate_oracle(
     no spectral machinery), then reports the requested convergence mode
     against the claimed limit (default: what :func:`renyi_rate` returns).
     """
+    _check_dims(nu, theta)
     if n_max < 3:
         raise InputValidationError("need n_max >= 3 for a nontrivial report")
     if claim is None:
@@ -181,9 +182,9 @@ def _easyvar_recursion(
     g_values: np.ndarray, mu: PairMeasure, n_max: int
 ) -> tuple[np.ndarray, dict[int, float]]:
     """The tilted log kernel, and log E[exp(sum of g along a length-n path)] for n = 1..n_max."""
-    g_values = np.asarray(g_values, dtype=float)
+    g_values = checked_array(g_values, "edge-function values", square=True)
     if g_values.shape != mu.entries.shape:
-        raise InputValidationError("edge-function shape must match the pair measure")
+        raise DimensionMismatchError("edge-function shape must match the pair measure")
     marginal = mu.state_marginal
     v = np.full(mu.d, -math.inf)
     on = marginal > 0

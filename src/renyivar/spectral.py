@@ -47,7 +47,7 @@ from .errors import (
     PerronConvergenceError,
 )
 from .extreal import NEG_INF, ExtReal
-from .numerics import log_matmul, log_matrix_power, logsumexp, memoised, safe_log
+from .numerics import checked_array, log_matmul, log_matrix_power, logsumexp, memoised, safe_log
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .markov import PairMeasure
@@ -79,16 +79,7 @@ class NonnegMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InputValidationError("entries must form a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InputValidationError("entries must be finite")
-        if np.any(m < 0):
-            raise InputValidationError("entries must be nonnegative")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", checked_array(self.entries, "entries", square=True, nonneg=True))
 
     @property
     def d(self) -> int:
@@ -331,14 +322,14 @@ def _left_step(block_log: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
-    """Perron data of a cyclic class given the elementwise log of the matrix.
+    """Perron data of a cyclic class given the elementwise log (finite or ``-inf``) of the matrix.
 
     The class block is diagonally rescaled by its max-plus potentials before
     exponentiating (see :func:`_tropical_balance`), so arbitrarily tilted
     matrices stay in range and keep the Perron root of the same order as the
     largest entry; the rescaling is undone on the eigendata in log space.
     """
-    log_entries = np.asarray(log_entries, dtype=float)
+    log_entries = checked_array(log_entries, "entries", square=True, log=True)
     d = log_entries.shape[0]
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= d:
@@ -369,16 +360,13 @@ def perron(m: NonnegMatrix, cls: Sequence[int], class_index: int = 0) -> PerronD
 
 
 def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
-    """The dominant cyclic class of the matrix whose elementwise log is given.
+    """The dominant cyclic class of the matrix whose elementwise log (finite or ``-inf``) is given.
 
     Returns ``(class_index, states, log_root)`` for the first class, in
     smallest-state order, with the strictly largest log Perron root (right
     iteration only, no eigendata); ``None`` when the support is acyclic.
     """
-    log_entries = np.asarray(log_entries, dtype=float)
-    if log_entries.ndim != 2 or log_entries.shape[0] != log_entries.shape[1] or log_entries.size == 0:
-        raise InputValidationError("entries must form a nonempty square matrix")
-    return _locate_dominant(log_entries)
+    return _locate_dominant(checked_array(log_entries, "entries", square=True, log=True))
 
 
 @memoised
@@ -397,7 +385,7 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
 
 
 def growth_rate_from_log(log_entries: np.ndarray) -> ExtReal:
-    """Growth rate of the matrix whose elementwise log is given."""
+    """Growth rate of the matrix whose elementwise log (finite or ``-inf``) is given."""
     located = dominant_class(log_entries)
     if located is None:
         return NEG_INF

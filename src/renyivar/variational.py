@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .distributions import Alpha, Dist, _check_dims, _feasible_support, abs_cont, rel_entropy, renyi_div
+from .distributions import Alpha, Dist, _check_dims, _feasible_support, _renyi, abs_cont, rel_entropy
 from .errors import InfeasiblePointError, InputValidationError
 from .extreal import POS_INF, ExtReal
-from .numerics import logsumexp
+from .numerics import checked_array, logsumexp
 
 __all__ = [
     "BoundedFn",
@@ -68,14 +68,7 @@ class BoundedFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise InputValidationError("function values must be a nonempty 1-d array")
-        if not np.isfinite(v).all():
-            raise InputValidationError("function values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", checked_array(self.values, "function values"))
 
     @property
     def d(self) -> int:
@@ -176,7 +169,7 @@ def solve_variational(alpha: Alpha, nu: Dist, theta: Dist) -> VarSolution:
         mu = _point_mass(nu.d, witness)
         return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, objective(alpha, mu, nu, theta)))
     mu_star = _geometric_mixture(a, nu, theta)
-    value = renyi_div(alpha, nu, theta)
+    value = _renyi(a, nu.weights, theta.weights)
     if mu_star is None:
         # Disjoint supports in the inf regime: the feasible set is empty and
         # the infimum over it is +inf by convention, with nothing attaining it.
@@ -204,7 +197,7 @@ def certify_inequality(
     regime = alpha.regime
     if (mu.support & ~_feasible_support(regime, nu.support, theta.support)).any():
         raise InfeasiblePointError(f"candidate violates the support constraint of regime {regime}")
-    value = renyi_div(alpha, nu, theta)
+    value = _renyi(alpha.value, nu.weights, theta.weights)
     candidate = objective(alpha, mu, nu, theta)
     if regime == "alpha_in_01":
         slack = _signed_gap(candidate, value)
@@ -239,6 +232,7 @@ def truncation_caps(
     Every cap is a finite float: when the largest ratio or the grid reaching
     it would overflow, ``InputValidationError`` says so.
     """
+    _check_dims(nu, theta, nu if reference is None else reference)
     if doublings < 1:
         raise InputValidationError("need at least one cap")
     eta = reference if reference is not None else Dist(0.5 * (nu.weights + theta.weights))
@@ -275,7 +269,7 @@ def truncated_optimizer(
     drives the sup regime when the optimizer cannot be attained directly.
     For ``a > 1`` this requires ``nu << theta`` so the ratio stays finite.
     """
-    _check_dims(nu, theta)
+    _check_dims(nu, theta, nu if reference is None else reference)
     a = alpha.value
     if a < 0:
         raise InputValidationError("the truncated family is for positive orders; swap arguments for a < 0")
@@ -343,7 +337,7 @@ def acd_sup(alpha: Alpha, g: BoundedFn, theta: Dist) -> VarSolution:
     mask = theta.support
     value = _log_tilt_sum(g, a, theta, mask) / a
     nu_star, _ = _tilt(g, 1.0, theta)
-    attained = _log_tilt_sum(g, a - 1.0, nu_star, mask) / (a - 1.0) - renyi_div(alpha, nu_star, theta).raw
+    attained = _log_tilt_sum(g, a - 1.0, nu_star, mask) / (a - 1.0) - _renyi(a, nu_star.weights, theta.weights).raw
     return VarSolution(ExtReal.finite(value), nu_star, alpha.regime, abs(value - attained))
 
 
@@ -359,7 +353,7 @@ def acd_inf(alpha: Alpha, g: BoundedFn, nu: Dist) -> VarSolution:
     a = alpha.value
     value = _log_tilt_sum(g, a - 1.0, nu, nu.support) / (a - 1.0)
     theta_star, _ = _tilt(g, -1.0, nu)
-    attained = _log_tilt_sum(g, a, theta_star, nu.support) / a + renyi_div(alpha, nu, theta_star).raw
+    attained = _log_tilt_sum(g, a, theta_star, nu.support) / a + _renyi(a, nu.weights, theta_star.weights).raw
     return VarSolution(ExtReal.finite(value), theta_star, alpha.regime, abs(value - attained))
 
 
@@ -378,7 +372,7 @@ def acd_certify(
     a = alpha.value
     lhs = _log_tilt_sum(g, a, theta, theta.support) / a
     rhs = _log_tilt_sum(g, a - 1.0, nu, nu.support) / (a - 1.0)
-    divergence = renyi_div(alpha, nu, theta)
+    divergence = _renyi(a, nu.weights, theta.weights)
     if not divergence.is_finite:
         return CertResult(passed=True, slack=math.inf)
     slack = lhs - rhs + divergence.raw

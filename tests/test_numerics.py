@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from renyivar import numerics
-from renyivar.numerics import log_matmul, log_matrix_power, logsumexp, memoised, safe_log
+from renyivar import (
+    BoundedFn,
+    Dist,
+    EdgeFn,
+    InputValidationError,
+    InvalidDistributionError,
+    NonnegMatrix,
+    PairMeasure,
+    numerics,
+)
+from renyivar.numerics import checked_array, log_matmul, log_matrix_power, logsumexp, memoised, safe_log
 from conftest import library_memos
 
 
@@ -170,3 +179,76 @@ def test_every_library_memo_is_bounded():
     memos = library_memos()
     assert len(memos) >= 5  # four spectral steps and the Renyi divergence
     assert all(memo.cache_info().maxsize == numerics.MEMO_ENTRIES for memo in memos)
+
+
+# Every rejection of the five value types, with the exact error class each raises.
+_NAN, _INF = math.nan, math.inf
+_REJECTED = [
+    # empty, wrong rank or not square
+    (Dist, [], InvalidDistributionError),
+    (Dist, [[0.5, 0.5]], InvalidDistributionError),
+    (BoundedFn, [], InputValidationError),
+    (BoundedFn, [[1.0]], InputValidationError),
+    (NonnegMatrix, np.zeros((0, 0)), InputValidationError),
+    (NonnegMatrix, [1.0, 2.0], InputValidationError),
+    (NonnegMatrix, [[1.0, 2.0, 3.0]], InputValidationError),
+    (PairMeasure, np.zeros((0, 0)), InvalidDistributionError),
+    (PairMeasure, [0.5, 0.5], InvalidDistributionError),
+    (PairMeasure, [[0.5, 0.5]], InvalidDistributionError),
+    (EdgeFn, np.zeros((0, 0)), InputValidationError),
+    (EdgeFn, [1.0], InputValidationError),
+    (EdgeFn, [[1.0, 2.0]], InputValidationError),
+    # NaN and +-inf
+    (Dist, [_NAN, 1.0], InvalidDistributionError),
+    (Dist, [_INF, 1.0], InvalidDistributionError),
+    (BoundedFn, [_NAN, 1.0], InputValidationError),
+    (BoundedFn, [1.0, _INF], InputValidationError),
+    (BoundedFn, [-_INF, 1.0], InputValidationError),
+    (NonnegMatrix, [[_NAN, 0.0], [0.0, 1.0]], InputValidationError),
+    (NonnegMatrix, [[1.0, _INF], [0.0, 1.0]], InputValidationError),
+    (PairMeasure, [[_NAN, 0.0], [0.0, 0.5]], InvalidDistributionError),
+    (PairMeasure, [[_INF, 0.0], [0.0, 0.5]], InvalidDistributionError),
+    (EdgeFn, [[_NAN, 0.0], [0.0, 1.0]], InputValidationError),
+    (EdgeFn, [[0.0, _INF], [0.0, 1.0]], InputValidationError),
+    (EdgeFn, [[0.0, -_INF], [0.0, 1.0]], InputValidationError),
+    # negative entries
+    (Dist, [0.5, -0.1], InvalidDistributionError),
+    (NonnegMatrix, [[1.0, -0.1], [0.0, 1.0]], InputValidationError),
+    (PairMeasure, [[0.5, -0.1], [0.3, 0.3]], InvalidDistributionError),
+    # a zero or an overflowing total
+    (Dist, [0.0, 0.0], InvalidDistributionError),
+    (Dist, [1e308, 1e308], InvalidDistributionError),
+    (PairMeasure, np.zeros((2, 2)), InvalidDistributionError),
+    (PairMeasure, np.full((2, 2), 1e308), InvalidDistributionError),
+]
+
+
+# What each value type calls its array in its messages.
+_WHAT = {
+    Dist: "weights",
+    BoundedFn: "function values",
+    NonnegMatrix: "entries",
+    PairMeasure: "pair-measure entries",
+    EdgeFn: "edge-function values",
+}
+
+
+@pytest.mark.parametrize(
+    "value_type, raw, error", _REJECTED, ids=[f"{t.__name__}-{i}" for i, (t, _, _) in enumerate(_REJECTED)]
+)
+def test_value_types_reject_invalid_arrays(value_type, raw, error):
+    with pytest.raises(InputValidationError) as caught:
+        value_type(raw)
+    assert type(caught.value) is error
+    assert _WHAT[value_type] in str(caught.value)
+
+
+def test_checked_array_returns_a_read_only_copy():
+    raw = np.array([[0.0, -math.inf], [1.0, 2.0]])
+    out = checked_array(raw, "entries", square=True, log=True)
+    assert out is not raw and np.array_equal(out, raw) and not out.flags.writeable
+    assert raw.flags.writeable
+    normalised = checked_array([2.0, 6.0], "weights", nonneg=True, normalise=True)
+    assert normalised.tobytes() == (np.array([2.0, 6.0]) / 8.0).tobytes()
+    with pytest.raises(InputValidationError, match="entries must be finite or -inf"):
+        checked_array([[math.inf]], "entries", square=True, log=True)

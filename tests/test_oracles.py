@@ -21,6 +21,8 @@ from renyivar import (
     renyi_div,
     renyi_rate,
     renyi_rate_oracle,
+    truncated_optimizer,
+    truncation_caps,
     varadhan_growth,
 )
 from conftest import random_pair
@@ -131,6 +133,14 @@ class TestEasyvarFiniteN:
         with pytest.raises(InputValidationError):
             easyvar_finite_n_oracle(np.zeros((2, 2)), random_pair(rng, 3), 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_edge_function_rejected(self, bad):
+        g = np.zeros((2, 2))
+        g[0, 0] = bad
+        for call in (lambda: easyvar_finite_n_oracle(g, FAIR_COIN, 3), lambda: easyvar_oracle_report(g, FAIR_COIN, 5)):
+            with pytest.raises(InputValidationError, match="edge-function values must be finite"):
+                call()
+
     def test_bad_horizon_rejected(self, rng):
         with pytest.raises(InputValidationError):
             easyvar_finite_n_oracle(np.zeros((3, 3)), random_pair(rng, 3), 0)
@@ -217,3 +227,23 @@ class TestRandomSearch:
         nu = Dist([0.4, 0.6])
         with pytest.raises(InputValidationError):
             random_search_extremum(IIDVariationalProblem(Alpha(2.0), nu, nu), trials=0)
+
+
+_D2, _D3 = Dist([0.5, 0.5]), Dist([0.2, 0.3, 0.5])
+_P2, _P3 = PairMeasure(np.full((2, 2), 0.25)), PairMeasure(np.full((3, 3), 1.0 / 9.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: truncation_caps(Alpha(2.0), _D2, _D3),
+        lambda: truncation_caps(Alpha(2.0), _D2, _D2, reference=_D3),
+        lambda: truncated_optimizer(Alpha(0.5), _D2, _D2, 1.0, reference=_D3),
+        lambda: renyi_rate_oracle(Alpha(0.5), _P2, _P3, claim=ExtReal(0.0)),
+        lambda: easyvar_oracle_report(np.zeros((2, 2)), _P3),
+    ],
+    ids=["caps-operands", "caps-reference", "optimizer-reference", "rate-oracle-claimed", "easyvar-report"],
+)
+def test_operand_sizes_checked_on_entry(call):
+    with pytest.raises(DimensionMismatchError):
+        call()

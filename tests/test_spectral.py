@@ -221,6 +221,30 @@ class TestPerron:
                 growth_rate_from_log(log_entries)
 
 
+# Malformed log-matrices: not a nonempty square matrix, or holding NaN or +inf
+# (-inf, the log of zero, is the only non-finite entry a log-matrix may hold).
+_BAD_LOG_MATRICES = [
+    np.zeros((2, 3)),
+    np.zeros(2),
+    np.zeros((0, 0)),
+    np.array([[0.0, math.nan], [math.nan, 0.0]]),
+    np.array([[math.nan]]),
+    np.array([[math.inf]]),
+    np.array([[0.0, math.inf], [-math.inf, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("log_entries", _BAD_LOG_MATRICES)
+@pytest.mark.parametrize(
+    "entry_point", [lambda m: perron_from_log(m, (0,)), growth_rate_from_log], ids=["perron", "growth"]
+)
+def test_from_log_entry_points_reject_malformed_matrices(entry_point, log_entries):
+    with pytest.raises(InputValidationError) as caught:
+        entry_point(log_entries)
+    assert type(caught.value) is InputValidationError
+    assert str(caught.value).startswith("entries must ")
+
+
 class TestGrowthRate:
     def test_nilpotent_is_minus_infinity(self):
         m = NonnegMatrix([[0.0, 1.0], [0.0, 0.0]])
