@@ -18,9 +18,6 @@ class Tolerances:
     """Default numeric thresholds.
 
     Attributes:
-        equality: generic tolerance for comparing two computed real values.
-        normalization: accepted drift of a probability mass from 1 after
-            construction-time renormalization.
         balance: largest row/column marginal disagreement accepted when a
             square array is interpreted as a stationary pair measure.
         attainment_iid: attainment residual certified by the single-letter
@@ -34,8 +31,6 @@ class Tolerances:
         alpha_max: largest |order| accepted.
     """
 
-    equality: float = 1e-10
-    normalization: float = 1e-12
     balance: float = 1e-9
     attainment_iid: float = 1e-9
     attainment_markov: float = 1e-8

@@ -15,9 +15,11 @@ Attaining measures are *eigenvector twists*, all built by one route,
 ``_locate_and_twist``: locate the cyclic class on which a matrix ``N`` grows
 fastest (classes in smallest-state order, the first with the largest Perron
 root wins), and there form ``mu*(i, j) = u(i) M(i, j) w(j) / Z``, stationary
-for ``u, w`` the left and right Perron vectors of a matrix ``M``.  The
-completion of such a twist to the other classes of a reducible reference
-measure, where the problem needs mass on each of them, belongs in that route.
+for ``u, w`` the left and right Perron vectors of a matrix ``M``.  The twist
+itself is built by ``spectral._twist``, which ``spectral.maximal_abs_cont``
+shares.  The completion of such a twist to the other classes of a reducible
+reference measure, where the problem needs mass on each of them, belongs in
+``spectral._twist`` too, called from this route.
 
 ``N = M`` is the tilted kernel matrix for the divergence rate, and
 ``[e^{g} mu(j|i)]`` for :func:`varadhan_solve`.  The order-``a`` tilt pair
@@ -37,7 +39,7 @@ import numpy as np
 
 from .config import TOL
 from .distributions import Alpha, _check_dims, _feasible_support
-from .errors import InfeasiblePointError, InputValidationError, PerronConvergenceError
+from .errors import InfeasiblePointError, InputValidationError
 from .extreal import POS_INF, ExtReal
 from .markov import (
     PairMeasure,
@@ -47,8 +49,8 @@ from .markov import (
     kernel,
     rel_entropy_rate,
 )
-from .numerics import checked_array, logsumexp
-from .spectral import PerronData, dominant_class, growth_rate_from_log, perron_from_log
+from .numerics import checked_array
+from .spectral import PerronData, _twist, dominant_class, growth_rate_from_log
 from .variational import CertResult, _attainment_residual, _signed_gap
 
 __all__ = [
@@ -144,20 +146,7 @@ def _locate_and_twist(
     if located is None:
         return None
     class_index, cls, root = located
-    data = perron_from_log(log_twist, cls, class_index)
-    idx = np.asarray(cls, dtype=int)
-    block = log_twist[np.ix_(idx, idx)]
-    log_u = np.log(data.left[idx])
-    log_w = np.log(data.right[idx])
-    log_weights = log_u[:, None] + block + log_w[None, :]
-    log_z = logsumexp(log_weights)
-    entries = np.zeros_like(log_twist)
-    finite = block > -math.inf
-    sub = np.zeros_like(block)
-    sub[finite] = np.exp(log_weights[finite] - log_z)
-    if not np.isfinite(sub).all():
-        raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
-    entries[np.ix_(idx, idx)] = sub
+    entries, data = _twist(log_twist, cls, class_index)
     return ExtReal.finite(root / divisor), PairMeasure(entries), cls, data
 
 

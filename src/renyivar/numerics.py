@@ -32,14 +32,17 @@ def checked_array(
 ) -> np.ndarray:
     """``x`` as a read-only float64 copy, if it is a valid input array; else ``error``.
 
-    Valid: nonempty and 1-d, or with ``square`` a nonempty square matrix, of
-    finite entries, none negative with ``nonneg``.  With ``log`` the entries
-    are logs: ``-inf`` is allowed, NaN and ``+inf`` are not, the sign is free.
-    With ``normalise`` the array is divided by its total, which must be finite
-    and positive.  Messages read ``"{what} must ..."``, or ``"the total of the
-    {what} overflows"``.
+    Valid: convertible to float64, nonempty and 1-d, or with ``square`` a
+    nonempty square matrix, of finite entries, none negative with ``nonneg``.
+    With ``log`` the entries are logs: ``-inf`` is allowed, NaN and ``+inf``
+    are not, the sign is free.  With ``normalise`` the array is divided by its
+    total, which must be finite and positive.  Messages read ``"{what} must
+    ..."``, or ``"the total of the {what} overflows"``.
     """
-    a = np.asarray(x, dtype=float)
+    try:
+        a = np.asarray(x, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # strings, ragged rows, mappings, huge ints
+        raise error(f"{what} must be an array of real numbers") from None
     if square:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise error(f"{what} must form a nonempty square matrix")

@@ -15,6 +15,14 @@ certified by an explicit eigen-residual), the growth rate both spectrally and
 by brute-force matrix powers, and the maximal stationary edge measure
 supported inside the cyclic classes.
 
+The eigenvector twist ``u(i) M(i, j) w(j) / Z`` of a cyclic class, with
+``u, w`` its left and right Perron vectors, is a stationary edge measure
+charging exactly the edges inside the class.  It is built in one place,
+:func:`_twist`, which serves the Markov optimizers (through
+``markov_variational._locate_and_twist``) and :func:`maximal_abs_cont`.  The
+completion of a twist to the other classes of a reducible reference measure
+belongs there as well.
+
 Matrices produced by exponential tilts are passed around as elementwise logs
 (``-inf`` marking structural zeros); the ``*_from_log`` entry points rescale
 by a tropical (max-plus) diagonal balancing before exponentiating, so the
@@ -354,6 +362,31 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
     return PerronData(log_lam=log_lam, left=left, right=right, class_index=class_index)
 
 
+def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> tuple[np.ndarray, PerronData]:
+    """The eigenvector twist of a cyclic class and its Perron data.
+
+    For ``M = exp(log_entries)`` with Perron vectors ``u, w`` on ``cls``, the
+    twist is ``u(i) M(i, j) w(j) / Z``, of total mass one: a stationary edge
+    measure whose support is exactly the edges of ``M`` inside the class.
+    It is returned as a full d x d array, zero off the class block.
+    """
+    data = perron_from_log(log_entries, cls, class_index)
+    idx = np.asarray(cls, dtype=int)
+    block = log_entries[np.ix_(idx, idx)]
+    log_u = np.log(data.left[idx])
+    log_w = np.log(data.right[idx])
+    log_weights = log_u[:, None] + block + log_w[None, :]
+    log_z = logsumexp(log_weights)
+    entries = np.zeros_like(log_entries)
+    finite = block > -math.inf
+    sub = np.zeros_like(block)
+    sub[finite] = np.exp(log_weights[finite] - log_z)
+    if not np.isfinite(sub).all():
+        raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
+    entries[np.ix_(idx, idx)] = sub
+    return entries, data
+
+
 def perron(m: NonnegMatrix, cls: Sequence[int], class_index: int = 0) -> PerronData:
     """Certified Perron root and left/right eigenvectors of one cyclic class."""
     return perron_from_log(safe_log(m.entries), cls, class_index)
@@ -435,64 +468,25 @@ def compatible(m: NonnegMatrix, pair: "PairMeasure | np.ndarray") -> bool:
     return bool(np.array_equal(m.support, entries > 0))
 
 
-def _cycle_through_edge(
-    support: np.ndarray, inside: set[int], i: int, j: int
-) -> list[tuple[int, int]]:
-    """A directed cycle through edge (i, j), staying inside a strongly connected set.
-
-    Returns the edge list: (i, j) followed by a shortest path j -> i found by
-    breadth-first search.  For a self-loop the path is empty.
-    """
-    if i == j:
-        return [(i, j)]
-    parents: dict[int, int] = {j: -1}
-    frontier = [j]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in np.flatnonzero(support[u]):
-                v = int(v)
-                if v in inside and v not in parents:
-                    parents[v] = u
-                    if v == i:
-                        path: list[tuple[int, int]] = []
-                        while v != j:
-                            path.append((parents[v], v))
-                            v = parents[v]
-                        path.reverse()
-                        return [(i, j)] + path
-                    nxt.append(v)
-        frontier = nxt
-    raise ClassStructureError(f"no return path {j} -> {i}; the set is not strongly connected")
-
-
 def maximal_abs_cont(m: NonnegMatrix) -> "PairMeasure | None":
     """The stationary edge measure with the largest support dominated by M.
 
-    Every stationary pair measure dominated by ``M`` must live on the cyclic
-    classes, and conversely every intra-class edge supports a cycle measure;
-    averaging a uniform cycle measure through each such edge (uniformly over
-    edges, then uniformly over classes) produces a stationary measure whose
-    support is exactly the union of intra-cyclic-class edges -- a maximum
-    element for the absolute-continuity order.  Returns ``None`` when the
-    support digraph is acyclic (no stationary measure is dominated at all).
+    Every stationary pair measure dominated by ``M`` lives on the cyclic
+    classes.  On each cyclic class this takes the eigenvector twist of the
+    class's 0/1 support block (:func:`_twist`), its Parry measure, i.e. its
+    measure of maximal entropy (Parry 1964).  As the Perron vectors are
+    positive on the class, the twist charges every edge inside it.  The
+    twists are averaged with equal weight, so each cyclic class carries mass
+    ``1 / K`` for ``K`` cyclic classes.  The support of the result is exactly
+    the union of intra-cyclic-class edges, a maximum element for the
+    absolute-continuity order.  Returns ``None`` when the support digraph is
+    acyclic (no stationary measure is dominated at all).
     """
     from .markov import PairMeasure  # deferred: markov depends on this module
 
-    decomposition = classes(m)
-    cyclic = decomposition.cyclic_classes()
+    cyclic = classes(m).cyclic_classes()
     if not cyclic:
         return None
-    support = m.support
-    accumulated = np.zeros_like(m.entries)
-    for cls in cyclic:
-        inside = set(cls)
-        edges = [(int(i), int(j)) for i in cls for j in np.flatnonzero(support[i]) if int(j) in inside]
-        block = np.zeros_like(accumulated)
-        for (i, j) in edges:
-            cycle = _cycle_through_edge(support, inside, i, j)
-            weight = 1.0 / len(cycle)
-            for (u, v) in cycle:
-                block[u, v] += weight
-        accumulated += block / (block.sum() * len(cyclic))
-    return PairMeasure(accumulated)
+    log_support = safe_log(m.support)
+    accumulated = sum(_twist(log_support, cls)[0] for cls in cyclic)
+    return PairMeasure(accumulated / len(cyclic))

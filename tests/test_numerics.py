@@ -220,6 +220,13 @@ _REJECTED = [
     (Dist, [1e308, 1e308], InvalidDistributionError),
     (PairMeasure, np.zeros((2, 2)), InvalidDistributionError),
     (PairMeasure, np.full((2, 2), 1e308), InvalidDistributionError),
+    # not convertible to an array of floats
+    (Dist, ["a"], InvalidDistributionError),
+    (Dist, [[1], [2, 3]], InvalidDistributionError),
+    (Dist, {}, InvalidDistributionError),
+    (Dist, [10**400], InvalidDistributionError),
+    (PairMeasure, [[0.5, 0.5], [0.5]], InvalidDistributionError),
+    (EdgeFn, [[1.0], [0.0, 1.0]], InputValidationError),
 ]
 
 

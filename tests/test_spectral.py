@@ -365,6 +365,29 @@ class TestMaximalAbsCont:
                 growth_rate(NonnegMatrix(m)).raw, abs=1e-10
             )
 
+    def test_each_class_carries_its_parry_measure(self, rng):
+        # On a 0/1 support the measure of maximal entropy of a cyclic class has
+        # entropy rate log(Perron root) of the class block; with equal class
+        # shares the entropy rate of the whole measure is the mean of those.
+        checked = 0
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            support = (rng.random((d, d)) < rng.uniform(0.15, 0.6)).astype(float)
+            tau = maximal_abs_cont(NonnegMatrix(support))
+            cyclic = classes(NonnegMatrix(support)).cyclic_classes()
+            if tau is None:
+                assert not cyclic
+                continue
+            checked += 1
+            conditional = tau.entries / tau.entries.sum(axis=1, keepdims=True).clip(min=1e-300)
+            on = tau.entries > 0
+            entropy_rate = -float(np.sum(tau.entries[on] * np.log(conditional[on])))
+            roots = [growth_rate(NonnegMatrix(support[np.ix_(cls, cls)])).raw for cls in cyclic]
+            assert entropy_rate == pytest.approx(np.mean(roots), abs=1e-12)
+            for cls in cyclic:
+                assert tau.entries[np.ix_(cls, cls)].sum() == pytest.approx(1.0 / len(cyclic), abs=1e-12)
+        assert checked >= 200
+
 
 class TestCompatible:
     def test_accepts_dominated_pair(self):
