@@ -388,6 +388,42 @@ class TestMaximalAbsCont:
                 assert tau.entries[np.ix_(cls, cls)].sum() == pytest.approx(1.0 / len(cyclic), abs=1e-12)
         assert checked >= 200
 
+    @staticmethod
+    def _with_return_path(core, length):
+        # The 0/1 block ``core`` plus a path of ``length`` new states from its
+        # last state back to its state 0: one cyclic class.
+        k = core.shape[0]
+        support = np.zeros((k + length, k + length))
+        support[:k, :k] = core
+        path = [k - 1, *range(k, k + length), 0]
+        support[path[:-1], path[1:]] = 1.0
+        return support
+
+    def test_large_sparse_classes_keep_every_edge(self):
+        # A 30-state clique with self-loops (root about 30) and a return path
+        # of 250 states: the Parry mass of the path, about 30^-251, is below
+        # the float range, but the certified Perron vectors do not resolve it
+        # relatively and stay positive there, so every edge is charged.
+        lollipop = self._with_return_path(np.ones((30, 30)), 250)
+        # A ring of 200 states with one chord: a long sparse class, whose
+        # spectral gap for the power iteration is of order 1/d^2.
+        ring = np.roll(np.eye(200), 1, axis=1)
+        ring[0, 100] = 1.0
+        for support in (lollipop, ring):
+            tau = maximal_abs_cont(NonnegMatrix(support))
+            np.testing.assert_array_equal(tau.entries > 0, support > 0)
+            assert tau.entries.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_parry_mass_below_float_range_raises(self):
+        # Two complete bipartite layers of 30 states (root 30, period 2) and a
+        # return path of 250 states: the power iteration runs long enough to
+        # resolve the path's Parry mass, about 30^-251, which underflows.  A
+        # measure missing those edges would break the exact-support promise.
+        layers = np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((30, 30)))
+        support = self._with_return_path(layers, 250)
+        with pytest.raises(PerronConvergenceError, match="below the float range"):
+            maximal_abs_cont(NonnegMatrix(support))
+
 
 class TestCompatible:
     def test_accepts_dominated_pair(self):
