@@ -365,10 +365,9 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
 
     For ``M = exp(log_entries)`` with Perron vectors ``u, w`` on ``cls``, the
     twist is ``u(i) M(i, j) w(j) / Z``, of total mass one: a stationary edge
-    measure on the edges of ``M`` inside the class.  An edge whose mass lies
-    below the float range comes out as zero, so the support can be smaller
-    than the class's edge set.  It is returned as a full d x d array, zero off
-    the class block.
+    measure on the edges of ``M`` inside the class, of which those with a
+    mass below the float range get zero.  It is returned as a full d x d
+    array, zero off the class block.
     """
     data = perron_from_log(log_entries, cls, class_index)
     idx = np.asarray(cls, dtype=int)
@@ -482,31 +481,19 @@ def maximal_abs_cont(m: NonnegMatrix) -> "PairMeasure | None":
     absolute-continuity order.  Returns ``None`` when the support digraph is
     acyclic (no stationary measure is dominated at all).
 
-    Limits.  The Perron vectors are certified by an absolute eigen-residual,
-    so masses far below the largest are not resolved relatively, and a Parry
-    mass can lie below the float range: a class whose Perron root is ``r``
-    with a return path of ``L`` states charges that path about ``r^-L``.
-    When an edge of a class would come out as zero this raises
+    A Parry mass can lie below the float range (a class of Perron root ``r``
+    charges a return path of ``L`` states about ``r^-L``); then this raises
     :class:`PerronConvergenceError` rather than return a smaller support.
-    The cost is that of the power iteration on each class, which grows with
-    the inverse spectral gap: a ring of ``d`` states with one chord has a
-    gap of order ``1 / d^2``.
+    The cost is the power iteration's on each class, slow for long sparse
+    classes (a ring of ``d`` states with one chord has a gap of order ``1 / d^2``).
     """
     from .markov import PairMeasure  # deferred: markov depends on this module
 
     cyclic = classes(m).cyclic_classes()
     if not cyclic:
         return None
-    support = m.support
-    log_support = safe_log(support)
-    accumulated = np.zeros_like(m.entries)
-    for cls in cyclic:
-        twist, _ = _twist(log_support, cls)
-        block = np.ix_(cls, cls)
-        if not np.array_equal(twist[block] > 0, support[block]):
-            raise PerronConvergenceError(
-                f"the Parry measure of the {len(cls)}-state class of state {cls[0]} "
-                "has edge masses below the float range"
-            )
-        accumulated += twist
+    log_support = safe_log(m.support)
+    accumulated = sum(_twist(log_support, cls)[0] for cls in cyclic)
+    if np.count_nonzero(accumulated) < sum(np.count_nonzero(m.support[np.ix_(c, c)]) for c in cyclic):
+        raise PerronConvergenceError("a Parry measure has edge masses below the float range")
     return PairMeasure(accumulated / len(cyclic))
