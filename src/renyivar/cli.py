@@ -62,6 +62,7 @@ from .markov_variational import (
     markov_acd_sup,
     solve_markov_variational,
 )
+from .numerics import memoised
 from .oracles import (
     IIDVariationalProblem,
     MarkovVariationalProblem,
@@ -393,6 +394,7 @@ _COMMANDS: dict[str, dict[str, Callable[[dict, float | None, int], tuple[dict, b
 _KINDS = {kind for kinds in _COMMANDS.values() for kind in kinds}
 
 
+@memoised  # built on the first call, then reused: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renyivar",

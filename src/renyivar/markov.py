@@ -49,7 +49,7 @@ from .errors import (
 )
 from .extreal import POS_INF, ExtReal
 from .numerics import checked_array
-from .spectral import growth_rate_from_log
+from .spectral import _growth
 
 __all__ = [
     "PairMeasure",
@@ -201,7 +201,7 @@ def _rate(a: float, nu: PairMeasure, theta: PairMeasure) -> ExtReal:
         return _rate(1.0 - a, theta, nu)
     if a > 1 and not abs_cont_pair(nu, theta):
         return POS_INF
-    growth = growth_rate_from_log(_tilted_log_kernel(a, nu, theta))
+    growth = _growth(_tilted_log_kernel(a, nu, theta))
     return growth.scale(1.0 / (a * (a - 1.0)))
 
 

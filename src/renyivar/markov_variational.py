@@ -50,7 +50,7 @@ from .markov import (
     rel_entropy_rate,
 )
 from .numerics import checked_array
-from .spectral import PerronData, _twist, dominant_class, growth_rate_from_log
+from .spectral import PerronData, _growth, _locate_dominant, _twist
 from .variational import CertResult, _attainment_residual, _signed_gap
 
 __all__ = [
@@ -142,7 +142,7 @@ def _locate_and_twist(
 ) -> tuple[ExtReal, PairMeasure, tuple[int, ...], PerronData] | None:
     """``(root of N / divisor, twist of M, class, Perron data of M)`` by the module docstring's
     route, for ``N = exp(log_locate)`` and ``M = exp(log_twist)``; None if N is acyclic."""
-    located = dominant_class(log_locate)
+    located = _locate_dominant(log_locate)
     if located is None:
         return None
     class_index, cls, root = located
@@ -231,7 +231,7 @@ def varadhan_growth(g: EdgeFn, mu: PairMeasure) -> ExtReal:
     cyclic classes, so the tilted matrix is never nilpotent.
     """
     _check_dims(g, mu)
-    return growth_rate_from_log(_edge_tilt(g, mu))
+    return _growth(_edge_tilt(g, mu))
 
 
 def varadhan_solve(g: EdgeFn, mu: PairMeasure) -> MarkovVarSolution:
@@ -266,7 +266,7 @@ def markov_acd_sup(alpha: Alpha, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolu
     twisted = _locate_and_twist(_edge_tilt(g, theta, factor=a), _edge_tilt(g, theta), a)
     assert twisted is not None
     value, nu_star, cls, data = twisted
-    recentred = growth_rate_from_log(_edge_tilt(g, nu_star, factor=a - 1.0))
+    recentred = _growth(_edge_tilt(g, nu_star, factor=a - 1.0))
     attained = recentred.scale(1.0 / (a - 1.0)) - _rate(a, nu_star, theta)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, nu_star, cls, data, residual)
@@ -284,7 +284,7 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
     twisted = _locate_and_twist(_edge_tilt(g, nu, factor=a - 1.0), _edge_tilt(g, nu, factor=-1.0), a - 1.0)
     assert twisted is not None
     value, theta_star, cls, data = twisted
-    ambient = growth_rate_from_log(_edge_tilt(g, theta_star, factor=a))
+    ambient = _growth(_edge_tilt(g, theta_star, factor=a))
     attained = ambient.scale(1.0 / a) + _rate(a, nu, theta_star)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, theta_star, cls, data, residual)
@@ -298,10 +298,10 @@ def rho_identities_check(
     solution = markov_acd_sup(alpha, g, theta)
     nu_star = solution.optimizer
     assert nu_star is not None
-    rho_n = growth_rate_from_log(_edge_tilt(g, theta, factor=a)).raw
-    rho_m = growth_rate_from_log(_edge_tilt(g, theta)).raw
-    mixture_growth = growth_rate_from_log(_tilted_log_kernel(a, nu_star, theta)).raw
-    recentred_growth = growth_rate_from_log(_edge_tilt(g, nu_star, factor=a - 1.0)).raw
+    rho_n = _growth(_edge_tilt(g, theta, factor=a)).raw
+    rho_m = _growth(_edge_tilt(g, theta)).raw
+    mixture_growth = _growth(_tilted_log_kernel(a, nu_star, theta)).raw
+    recentred_growth = _growth(_edge_tilt(g, nu_star, factor=a - 1.0)).raw
     mixture_drift = abs(mixture_growth - (rho_n - a * rho_m))
     recentred_drift = abs(recentred_growth - (rho_n - rho_m))
     return RhoIdentityReport(
@@ -331,8 +331,8 @@ def certify_markov_acd(
     """
     _check_dims(g, nu, theta)
     a = alpha.value
-    lhs = growth_rate_from_log(_edge_tilt(g, theta, factor=a)).raw / a
-    rhs = growth_rate_from_log(_edge_tilt(g, nu, factor=a - 1.0)).raw / (a - 1.0)
+    lhs = _growth(_edge_tilt(g, theta, factor=a)).raw / a
+    rhs = _growth(_edge_tilt(g, nu, factor=a - 1.0)).raw / (a - 1.0)
     rate = _rate(a, nu, theta)
     if not rate.is_finite:
         return CertResult(passed=True, slack=math.inf)

@@ -25,7 +25,12 @@ Matrices produced by exponential tilts are passed around as elementwise logs
 (``-inf`` marking structural zeros); the ``*_from_log`` entry points rescale
 by a tropical (max-plus) diagonal balancing before exponentiating, so the
 linear-algebra kernels only ever see blocks whose largest entry and Perron
-root are both of order one, whatever the dynamic range of the input.
+root are both of order one, whatever the dynamic range of the input.  The
+public entry points (``growth_rate_from_log``, ``dominant_class``,
+``perron_from_log``) validate their input with
+:func:`renyivar.numerics.checked_array`; the library's own callers, which
+build their log-matrices themselves, call the private ``_growth``,
+``_locate_dominant`` and ``_perron`` directly.
 
 Class finding on a support pattern, the dominant class of a log-matrix, and
 the balancing with the right and the left power iteration of a class block are
@@ -203,7 +208,7 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
     infinite or NaN entry (a balanced block whose exponential overflowed)
     can never certify, so it is rejected before the first step.
     """
-    if not np.isfinite(block).all():
+    if not block.max() < math.inf:  # the max of the nonnegative block is NaN if an entry is
         raise PerronConvergenceError(
             "the balanced class block overflows the float range (inf or NaN entries)"
         )
@@ -211,9 +216,9 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
     shift = 1.0 + float(block.diagonal().max())
     shifted = block.copy()  # finite and >= 0, so adding c I changes the diagonal only
     shifted.flat[:: n + 1] += shift
-    squared = shifted @ shifted
-    fourth = squared @ squared
-    stepper = fourth @ fourth
+    squared = shifted.dot(shifted)
+    fourth = squared.dot(squared)
+    stepper = fourth.dot(fourth)
     x = np.full(n, 1.0 / math.sqrt(n))
     previous = math.inf
     best_resid = math.inf
@@ -221,13 +226,13 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
     stable = 0
     window_resid = math.inf
     for _ in range(_POWER_ITER_CAP):
-        y = stepper @ x
-        quotient = float(x @ y)
+        y = stepper.dot(x)
+        quotient = float(x.dot(y))
         if abs(quotient - previous) <= _RAYLEIGH_RTOL * abs(quotient):
             stable += 1
-            z = block @ x
-            lam = float(x @ z)
-            residual = float(np.max(np.abs(z - lam * x)))
+            z = block.dot(x)
+            lam = float(x.dot(z))
+            residual = float(abs(z - lam * x).max())
             if lam > 0 and residual <= best_resid:
                 best_resid = residual
                 best = (lam, x)
@@ -243,7 +248,7 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
         else:
             stable = 0
         previous = quotient
-        norm = math.sqrt(float(y @ y))
+        norm = math.sqrt(float(y.dot(y)))
         if norm == 0.0:  # impossible for an irreducible block, defensive only
             raise PerronConvergenceError("iteration collapsed to the zero vector")
         x = y / norm
@@ -268,21 +273,23 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     n = block_log.shape[0]
     # walks[k, v]: heaviest walk of length k ending at v, from anywhere
     walks = np.zeros((n + 1, n))
-    for k in range(1, n + 1):
-        walks[k] = (walks[k - 1][:, None] + block_log).max(axis=0)
-    final, earlier = walks[n], walks[:n]
-    reached = (final != -math.inf) & (earlier != -math.inf)
-    gaps = np.subtract(final, earlier, out=np.full((n, n), math.inf), where=reached)
-    means = (gaps / np.arange(n, 0, -1)[:, None]).min(axis=0)
-    mu = float(np.where(final != -math.inf, means, -math.inf).max())
+    for k in range(n):
+        (walks[k, :, None] + block_log).max(axis=0, out=walks[k + 1])
+    final = walks[n]
+    # an unreached walks[k, v] gives the gap +inf, which the min ignores; the
+    # columns of an unreached final[v] (NaN or -inf) are left out of mu
+    with np.errstate(invalid="ignore"):
+        means = ((final - walks[:n]) / np.arange(n, 0, -1)[:, None]).min(axis=0)
+    mu = float(means[final > -math.inf].max(initial=-math.inf))
     if not math.isfinite(mu):
         raise ClassStructureError("max cycle mean undefined: the block carries no cycle")
     # longest-walk potentials for the zero-max-cycle-mean weights
     weights = block_log - mu
     p = np.zeros(n)
     for _ in range(2 * n + 2):
-        relaxed = np.maximum(p, (weights + p[None, :]).max(axis=1))
-        if (relaxed == p).all():
+        relaxed = np.maximum(p, (weights + p).max(axis=1))
+        # no NaN or -0.0 ever enters p, so equal bytes mean equal entries
+        if relaxed.tobytes() == p.tobytes():
             break
         p = relaxed
     return mu, p
@@ -319,9 +326,8 @@ def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.nda
 
 
 @memoised
-def _left_step(block_log: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(lam, left)``: the left iteration on the block balanced by :func:`_class_step`."""
-    mu, pot, _, _ = _class_step(block_log)
+def _left_step(block_log: np.ndarray, mu: float, pot: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(lam, left)``: the left iteration on the block balanced by ``(mu, pot)`` of :func:`_class_step`."""
     lam, left, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
     left.flags.writeable = False
     return lam, left
@@ -335,7 +341,11 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
     matrices stay in range and keep the Perron root of the same order as the
     largest entry; the rescaling is undone on the eigendata in log space.
     """
-    log_entries = checked_array(log_entries, "entries", square=True, log=True)
+    return _perron(checked_array(log_entries, "entries", square=True, log=True), cls, class_index)
+
+
+def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> PerronData:
+    """:func:`perron_from_log` on a log-matrix the library built itself, unchecked."""
     d = log_entries.shape[0]
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= d:
@@ -343,7 +353,7 @@ def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: in
     block_log = log_entries[np.ix_(idx, idx)]
     _validate_cyclic_class(block_log, idx)
     mu, pot, lam_r, right_block = _class_step(block_log)
-    lam_l, left_block = _left_step(block_log)
+    lam_l, left_block = _left_step(block_log, mu, pot)
     lam = 0.5 * (lam_r + lam_l)
     log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot
@@ -369,7 +379,7 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
     mass below the float range get zero.  It is returned as a full d x d
     array, zero off the class block.
     """
-    data = perron_from_log(log_entries, cls, class_index)
+    data = _perron(log_entries, cls, class_index)
     idx = np.asarray(cls, dtype=int)
     block = log_entries[np.ix_(idx, idx)]
     log_u = np.log(data.left[idx])
@@ -388,7 +398,7 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
 
 def perron(m: NonnegMatrix, cls: Sequence[int], class_index: int = 0) -> PerronData:
     """Certified Perron root and left/right eigenvectors of one cyclic class."""
-    return perron_from_log(safe_log(m.entries), cls, class_index)
+    return _perron(safe_log(m.entries), cls, class_index)
 
 
 def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
@@ -418,15 +428,18 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
 
 def growth_rate_from_log(log_entries: np.ndarray) -> ExtReal:
     """Growth rate of the matrix whose elementwise log (finite or ``-inf``) is given."""
-    located = dominant_class(log_entries)
-    if located is None:
-        return NEG_INF
-    return ExtReal.finite(located[2])
+    return _growth(checked_array(log_entries, "entries", square=True, log=True))
+
+
+def _growth(log_entries: np.ndarray) -> ExtReal:
+    """:func:`growth_rate_from_log` on a log-matrix the library built itself, unchecked."""
+    located = _locate_dominant(log_entries)
+    return NEG_INF if located is None else ExtReal.finite(located[2])
 
 
 def growth_rate(m: NonnegMatrix) -> ExtReal:
     """Spectral growth rate rho(M); -inf exactly when the support is acyclic."""
-    return growth_rate_from_log(safe_log(m.entries))
+    return _growth(safe_log(m.entries))
 
 
 def growth_rate_bruteforce(m: NonnegMatrix, n: int) -> ExtReal:

@@ -23,6 +23,7 @@ from renyivar import (
     perron_from_log,
 )
 from renyivar import numerics, spectral
+from renyivar.config import TOL
 from renyivar.numerics import safe_log
 from conftest import clear_memos
 
@@ -467,6 +468,51 @@ def _reference_tropical_balance(block_log):
     return mu, p
 
 
+def _reference_power_iteration(block):
+    """The shifted power iteration with ``@`` products, kept as a fixed reference."""
+    if not np.isfinite(block).all():
+        raise PerronConvergenceError("overflow")
+    n = block.shape[0]
+    shift = 1.0 + float(block.diagonal().max())
+    shifted = block.copy()
+    shifted.flat[:: n + 1] += shift
+    squared = shifted @ shifted
+    fourth = squared @ squared
+    stepper = fourth @ fourth
+    x = np.full(n, 1.0 / math.sqrt(n))
+    previous = math.inf
+    best_resid = math.inf
+    best = None
+    stable = 0
+    window_resid = math.inf
+    for _ in range(spectral._POWER_ITER_CAP):
+        y = stepper @ x
+        quotient = float(x @ y)
+        if abs(quotient - previous) <= spectral._RAYLEIGH_RTOL * abs(quotient):
+            stable += 1
+            z = block @ x
+            lam = float(x @ z)
+            residual = float(np.max(np.abs(z - lam * x)))
+            if lam > 0 and residual <= best_resid:
+                best_resid = residual
+                best = (lam, x)
+            if lam > 0 and residual <= 1e-13 * lam:
+                return lam, x, residual
+            if stable % 32 == 0:
+                if residual > 0.9 * window_resid and best is not None:
+                    if best_resid <= TOL.perron_resid * best[0]:
+                        return best[0], best[1], best_resid
+                window_resid = residual
+        else:
+            stable = 0
+        previous = quotient
+        norm = math.sqrt(float(y @ y))
+        x = y / norm
+    if best is not None and best_resid <= TOL.perron_resid * best[0]:
+        return best[0], best[1], best_resid
+    raise PerronConvergenceError("cap")
+
+
 # Every memoised step of ``spectral``: its k-th distinct small input, and how
 # many arrays its result holds.
 MEMO_USERS = {
@@ -475,6 +521,13 @@ MEMO_USERS = {
     "_class_step": (lambda k: np.array([[float(k)]]), 2),
     "_left_step": (lambda k: np.array([[float(k)]]), 1),
 }
+
+
+def _memo_args(name, block):
+    """The arguments of a memoised step for one input block."""
+    if name == "_left_step":  # the left iteration takes the balancing of the block
+        return (block, *spectral._tropical_balance(block))
+    return (block,)
 
 
 def _clear_memos(clear=True):
@@ -514,6 +567,33 @@ class TestClassStep:
             assert mu.hex() == want_mu.hex()
             assert p.tobytes() == want_p.tobytes()
 
+    def test_power_iteration_bit_identical_to_reference(self, rng):
+        """Balanced class blocks of 1 to 70 states, C-order and transposed (as the left step)."""
+        sizes = list(range(1, 71)) + [int(k) for k in rng.integers(1, 10, size=130)]
+        for n in sizes:
+            block_log = rng.uniform(-60.0, 60.0, size=(n, n))
+            block_log[rng.random((n, n)) < float(rng.uniform(0.0, 0.5))] = -math.inf
+            block_log[np.arange(n), (np.arange(n) + 1) % n] = 0.0  # a Hamiltonian cycle: one class
+            balanced = spectral._balanced_exp(block_log, *spectral._tropical_balance(block_log))
+            for block in (balanced, balanced.T):
+                lam, vector, residual = spectral._power_iteration(block)
+                want_lam, want_vector, want_residual = _reference_power_iteration(block)
+                assert (lam.hex(), residual.hex()) == (want_lam.hex(), want_residual.hex())
+                assert vector.tobytes() == want_vector.tobytes()
+
+    def test_large_class_is_balanced_once(self, rng, monkeypatch):
+        """Above the memo bound, the left step reuses the balancing of the right step."""
+        calls = {"_tropical_balance": 0, "_power_iteration": 0}
+        for name in calls:
+            def counted(block, name=name, original=getattr(spectral, name)):
+                calls[name] += 1
+                return original(block)
+            monkeypatch.setattr(spectral, name, counted)
+        n = numerics.MEMO_MAX_STATES + 1
+        data = perron_from_log(rng.uniform(-1.0, 1.0, size=(n, n)), range(n))
+        assert calls == {"_tropical_balance": 1, "_power_iteration": 2}
+        assert data.right.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_memo_hits_equal_recomputation(self, rng):
         """Cold and warm memos give the same bytes, interleaved with other matrices."""
         ms = [random_matrix(rng, int(rng.integers(2, 8)), density=0.6 if k % 3 else 1.0) for k in range(30)]
@@ -549,7 +629,7 @@ class TestClassStep:
         _clear_memos()
         block = np.array([[0.0, 1.0], [2.0, -math.inf]])
         for _ in range(2):  # a miss, then a hit
-            arrays = _arrays_in(memo(block > -math.inf if name == "_classes_of" else block))
+            arrays = _arrays_in(memo(*_memo_args(name, block > -math.inf if name == "_classes_of" else block)))
             assert len(arrays) == MEMO_USERS[name][1]
             assert not any(a.flags.writeable for a in arrays)
         assert memo.cache_info().hits == 1
@@ -558,10 +638,10 @@ class TestClassStep:
     def test_memo_holds_a_bounded_number_of_small_blocks(self, name):
         memo, (make, _) = getattr(spectral, name), MEMO_USERS[name]
         _clear_memos()
-        memo(np.zeros((numerics.MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype))
+        memo(*_memo_args(name, np.zeros((numerics.MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype)))
         assert memo.cache_info().currsize == 0
         for k in range(numerics.MEMO_ENTRIES + 5):
-            memo(make(k))
+            memo(*_memo_args(name, make(k)))
         assert memo.cache_info().currsize == numerics.MEMO_ENTRIES
 
 
