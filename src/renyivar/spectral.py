@@ -32,6 +32,17 @@ public entry points (``growth_rate_from_log``, ``dominant_class``,
 build their log-matrices themselves, call the private ``_growth``,
 ``_locate_dominant`` and ``_perron`` directly.
 
+The dominant class needs an exact root only for the class that wins.  With
+two or more cyclic classes, :func:`_root_bounds` first bounds every class's
+log root from above by the Collatz--Wielandt inequality (Collatz 1942;
+Wielandt 1950): three pivoted log-space steps of the intra-class matrix from
+the all-ones vector, the first of which is the largest row sum.  Classes are
+then balanced and iterated in order of decreasing bound, and the search
+stops at the first class whose bound falls below the best root found by a
+margin of ``1e-9 (1 + |best|)``.  Ties go to the smallest class index, and a
+bound that overflowed (NaN) never stops the search, so the result is the one
+a visit of every class returns, float for float.
+
 Class finding on a support pattern, the dominant class of a log-matrix, and
 the balancing with the right and the left power iteration of a class block are
 memoised on the exact bytes of their input (:func:`renyivar.numerics.memoised`):
@@ -44,6 +55,7 @@ class at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -304,6 +316,11 @@ def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None
         raise ClassStructureError(f"singleton class {shown} has no self-loop, hence no cycle")
 
 
+def _block(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """The class block ``a[np.ix_(idx, idx)]``, as a C-contiguous copy with the same bytes."""
+    return a.take(idx, axis=0).take(idx, axis=1)
+
+
 def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
     """A class block rescaled by its max-plus eigendata ``(mu, pot)``, exponentiated."""
     return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
@@ -350,7 +367,7 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= d:
         raise ClassStructureError("class states outside the matrix index range")
-    block_log = log_entries[np.ix_(idx, idx)]
+    block_log = _block(log_entries, idx)
     _validate_cyclic_class(block_log, idx)
     mu, pot, lam_r, right_block = _class_step(block_log)
     lam_l, left_block = _left_step(block_log, mu, pot)
@@ -381,9 +398,10 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
     """
     data = _perron(log_entries, cls, class_index)
     idx = np.asarray(cls, dtype=int)
-    block = log_entries[np.ix_(idx, idx)]
-    log_u = np.log(data.left[idx])
-    log_w = np.log(data.right[idx])
+    block = _block(log_entries, idx)
+    with np.errstate(divide="ignore"):  # an underflowed Perron entry is caught below
+        log_u = np.log(data.left[idx])
+        log_w = np.log(data.right[idx])
     log_weights = log_u[:, None] + block + log_w[None, :]
     log_z = logsumexp(log_weights)
     entries = np.zeros_like(log_entries)
@@ -411,17 +429,79 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
     return _locate_dominant(checked_array(log_entries, "entries", square=True, log=True))
 
 
+def _root_bounds(log_entries: np.ndarray, members: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Upper bounds on the log Perron roots of the given cyclic classes.
+
+    ``inside`` keeps only the intra-class entries of the classes, in class
+    order, so it is block diagonal.  Three steps of
+    ``log x <- logsumexp_j(inside[i, j] + log x[j])`` from ``x = 1``, each
+    row pivoted at its maximum, give ``x_0 .. x_3``; by the Collatz--Wielandt
+    inequality ``rho(A) <= max_i (A x)_i / x_i`` for any positive ``x``, so
+    each step bounds every class by the largest log ratio over its states,
+    and the bound is the least of the three (the first is the largest row
+    sum).  A step that overflows the float range gives NaN, which spreads to
+    every class in the steps after it; a NaN bound is returned as ``+inf``.
+    """
+    sizes = [len(cls) for cls in members]
+    idx = np.fromiter((s for cls in members for s in cls), dtype=int)
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    label = np.repeat(np.arange(len(members)), sizes)
+    inside = _block(log_entries, idx)
+    inside[label[:, None] != label] = -math.inf
+    log_x = np.zeros(idx.size)
+    bound = np.full(len(members), math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            terms = inside + log_x
+            pivot = terms.max(axis=1)
+            terms -= pivot[:, None]
+            log_y = pivot + np.log(np.exp(terms).sum(axis=1))
+            # np.minimum and np.maximum keep NaN, so a NaN step leaves a NaN bound
+            bound = np.minimum(bound, np.maximum.reduceat(log_y - log_x, starts))
+            log_x = log_y
+    bound[np.isnan(bound)] = math.inf
+    return bound
+
+
 @memoised
 def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float] | None:
+    """:func:`dominant_class` on a log-matrix the library built itself, unchecked.
+
+    With two or more cyclic classes, every class is first bounded from above
+    by :func:`_root_bounds`, and classes are visited by decreasing bound,
+    equal bounds in index order.  A visited class is balanced and
+    right-iterated (:func:`_class_step`) for its log root; a lone cyclic
+    class is visited without a bound.  The visit stops
+    at the first class whose bound ``U`` satisfies
+    ``U + 1e-9 (1 + |best|) < best`` for the best root so far: every class
+    after it has a bound no larger, so its computed root lies strictly below
+    ``best`` as long as the rounding of the bound and of the root (relative
+    errors near 1e-14 and at most ``TOL.perron_resid``) stays inside the
+    margin.  A NaN or ``+inf`` bound never stops the visit: both are visited
+    first.  Among equal largest roots the smallest class index wins,
+    so the result is the one an index-order visit of every class returns.
+    """
     decomposition = _classes_of(log_entries > -math.inf)
-    best: tuple[int, tuple[int, ...], float] | None = None
-    for k, cls in enumerate(decomposition.classes):
-        if not decomposition.cyclic[k]:
-            continue
+    flags = decomposition.cyclic
+    if flags.count(True) < 2:  # nothing to compare, so nothing to bound
+        if True not in flags:
+            return None
+        k = flags.index(True)
+        cls = decomposition.classes[k]
         whole = len(cls) == log_entries.shape[0]  # one class over all states: no gather
-        mu, _, lam, _ = _class_step(log_entries if whole else log_entries[np.ix_(cls, cls)])
+        mu, _, lam, _ = _class_step(log_entries if whole else _block(log_entries, cls))
+        return k, cls, math.log(lam) + mu
+    cyclic = [k for k, flag in enumerate(flags) if flag]
+    members = [decomposition.classes[k] for k in cyclic]
+    upper = _root_bounds(log_entries, members).tolist()
+    best: tuple[int, tuple[int, ...], float] | None = None
+    for c in sorted(range(len(members)), key=lambda c: -upper[c]):  # stable: equal bounds in index order
+        if best is not None and upper[c] + 1e-9 * (1.0 + abs(best[2])) < best[2]:
+            break
+        k, cls = cyclic[c], members[c]
+        mu, _, lam, _ = _class_step(_block(log_entries, cls))
         root = math.log(lam) + mu
-        if best is None or root > best[2]:
+        if best is None or root > best[2] or (root == best[2] and k < best[0]):
             best = (k, cls, root)
     return best
 
@@ -507,6 +587,6 @@ def maximal_abs_cont(m: NonnegMatrix) -> "PairMeasure | None":
         return None
     log_support = safe_log(m.support)
     accumulated = sum(_twist(log_support, cls)[0] for cls in cyclic)
-    if np.count_nonzero(accumulated) < sum(np.count_nonzero(m.support[np.ix_(c, c)]) for c in cyclic):
+    if np.count_nonzero(accumulated) < sum(np.count_nonzero(_block(m.support, c)) for c in cyclic):
         raise PerronConvergenceError("a Parry measure has edge masses below the float range")
     return PairMeasure(accumulated / len(cyclic))

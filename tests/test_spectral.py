@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,15 +416,24 @@ class TestMaximalAbsCont:
             np.testing.assert_array_equal(tau.entries > 0, support > 0)
             assert tau.entries.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_parry_mass_below_float_range_raises(self):
+    def _bipartite_with_long_path(self):
         # Two complete bipartite layers of 30 states (root 30, period 2) and a
         # return path of 250 states: the power iteration runs long enough to
-        # resolve the path's Parry mass, about 30^-251, which underflows.  A
-        # measure missing those edges would break the exact-support promise.
+        # resolve the path's Parry mass, about 30^-251, which underflows.
         layers = np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((30, 30)))
-        support = self._with_return_path(layers, 250)
+        return self._with_return_path(layers, 250)
+
+    def test_parry_mass_below_float_range_raises(self):
+        # A measure missing the path's edges would break the exact-support promise.
         with pytest.raises(PerronConvergenceError, match="below the float range"):
-            maximal_abs_cont(NonnegMatrix(support))
+            maximal_abs_cont(NonnegMatrix(self._bipartite_with_long_path()))
+
+    def test_parry_mass_below_float_range_raises_without_warnings(self):
+        support = self._bipartite_with_long_path()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PerronConvergenceError, match="below the float range"):
+                maximal_abs_cont(NonnegMatrix(support))
 
 
 class TestCompatible:
@@ -648,3 +658,129 @@ class TestClassStep:
 def test_memo_users_are_every_memo_of_spectral():
     memos = {name for name, obj in vars(spectral).items() if hasattr(obj, "cache_clear")}
     assert memos == set(MEMO_USERS)
+
+
+def _reference_locate_dominant(log_entries):
+    """The dominant class by balancing and iterating every cyclic class, in index order."""
+    decomposition = spectral._classes_of(log_entries > -math.inf)
+    best = None
+    for k, cls in enumerate(decomposition.classes):
+        if not decomposition.cyclic[k]:
+            continue
+        whole = len(cls) == log_entries.shape[0]
+        mu, _, lam, _ = spectral._class_step(log_entries if whole else log_entries[np.ix_(cls, cls)])
+        root = math.log(lam) + mu
+        if best is None or root > best[2]:
+            best = (k, cls, root)
+    return best
+
+
+def _reducible_log_matrix(rng):
+    """2 to 6 irreducible blocks (some acyclic singletons) joined by upper-triangular edges, states shuffled.
+
+    Each block carries a Hamiltonian cycle and entries within 5 of its own
+    offset; the offsets lie in +-700 or in +-3.  In about a third of the
+    matrices the last block repeats the first, so two classes have equal roots.
+    """
+    sizes = [int(n) for n in rng.integers(1, 7, size=int(rng.integers(2, 7)))]
+    duplicate = rng.random() < 0.35
+    if duplicate:
+        sizes[-1] = sizes[0]
+    offsets = rng.uniform(-700.0, 700.0, size=len(sizes)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, size=len(sizes))
+    blocks = []
+    for n, offset in zip(sizes, offsets):
+        block = offset + rng.uniform(-5.0, 5.0, size=(n, n))
+        block[rng.random((n, n)) < 0.5] = -math.inf
+        if n > 1 or rng.random() < 0.7:
+            block[np.arange(n), (np.arange(n) + 1) % n] = offset
+        blocks.append(block)
+    if duplicate:
+        blocks[-1] = blocks[0]
+    d = sum(sizes)
+    log_m = rng.uniform(-700.0, 700.0, size=(d, d))
+    log_m[~np.triu(rng.random((d, d)) < 0.2, 1)] = -math.inf
+    start = 0
+    for n, block in zip(sizes, blocks):
+        log_m[start:start + n, start:start + n] = block
+        start += n
+    perm = rng.permutation(d)
+    return log_m[np.ix_(perm, perm)]
+
+
+# Log entries near the top and bottom of the float range: the bounds of the
+# huge classes overflow to NaN, which must never skip a class.  In the first,
+# only the third step overflows, so the NaN stays with class 0.
+_EXTREME_LOG_MATRICES = [
+    [[7e307, 0.0, -math.inf, -math.inf], [-math.inf, 1.0, 2.0, 0.0],
+     [-math.inf, 2.0, 1.0, -math.inf], [-math.inf, -math.inf, -math.inf, -5.0]],
+    [[9e307, 0.0, -math.inf], [-math.inf, 8e307, 2.0], [-math.inf, -math.inf, 1.0]],
+    [[-math.inf, 1.7e308, 0.0, -math.inf], [-1.7e308, -math.inf, -math.inf, -math.inf],
+     [-math.inf, -math.inf, 1.0, 3.0], [-math.inf, -math.inf, 3.0, 1.0]],
+    [[-1e308, 0.0, -math.inf], [-math.inf, 1.0, 2.0], [-math.inf, 2.0, 1.0]],
+]
+
+
+def _tie_behind_a_looser_bound():
+    """Class 0, a self-loop, ties with class 1, whose looser bound puts it first in the visit."""
+    pair = np.array([[0.0, 0.0], [0.0, -math.inf]])  # root log((1 + sqrt 5) / 2), bound log 2
+    mu, _, lam, _ = spectral._class_step(pair)
+    log_m = np.full((3, 3), -math.inf)
+    log_m[0, 0] = math.log(lam) + mu
+    log_m[0, 1] = 0.0
+    log_m[1:, 1:] = pair
+    return log_m
+
+
+class TestLocateDominant:
+    def _cyclic_members(self, log_m):
+        dec = spectral._classes_of(log_m > -math.inf)
+        return [cls for cls, cyclic in zip(dec.classes, dec.cyclic) if cyclic]
+
+    def test_matches_visiting_every_class(self, rng):
+        matrices = [_reducible_log_matrix(rng) for _ in range(600)]
+        matrices += [np.array(m) for m in _EXTREME_LOG_MATRICES] + [_tie_behind_a_looser_bound()]
+        ties = 0
+        for log_m in matrices:
+            clear_memos()
+            got = spectral._locate_dominant(log_m)
+            want = _reference_locate_dominant(log_m)
+            if want is None:
+                assert got is None
+                continue
+            assert (got[0], got[1], got[2].hex()) == (want[0], want[1], want[2].hex())
+            roots = [math.log(step[2]) + step[0] for step in map(
+                spectral._class_step, (log_m[np.ix_(c, c)] for c in self._cyclic_members(log_m)))]
+            ties += roots.count(want[2]) > 1
+        assert ties >= 50  # duplicated blocks: the smallest index must win
+
+    def test_bounds_cover_every_class_root(self, rng):
+        for _ in range(300):
+            log_m = _reducible_log_matrix(rng)
+            members = self._cyclic_members(log_m)
+            if len(members) < 2:  # a lone cyclic class is never bounded
+                continue
+            bound = spectral._root_bounds(log_m, members)
+            for cls, upper in zip(members, bound):
+                mu, _, lam, _ = spectral._class_step(log_m[np.ix_(cls, cls)])
+                root = math.log(lam) + mu
+                # a bound can be tight (a single cycle) and round an ulp below the
+                # root; the search skips only with a margin of 1e-9 (1 + |best|)
+                assert upper >= root - 1e-12 * (1.0 + abs(root))
+
+    def test_classes_below_the_winner_are_not_balanced(self, monkeypatch):
+        """One dominant class and four far below it: only the dominant one is balanced and iterated."""
+        calls = {"_tropical_balance": 0, "_power_iteration": 0}
+        for name in calls:
+            def counted(block, name=name, original=getattr(spectral, name)):
+                calls[name] += 1
+                return original(block)
+            monkeypatch.setattr(spectral, name, counted)
+        log_m = np.full((10, 10), -math.inf)
+        for k, offset in enumerate([0.0, 1.0, 40.0, 2.0, 3.0]):  # class 2 dominates by e^37
+            log_m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = offset + np.array([[0.5, 1.0], [1.0, -0.5]])
+            if k:
+                log_m[2 * k - 1, 2 * k] = 3.0  # a transient edge into the next class
+        clear_memos()
+        located = spectral.dominant_class(log_m)
+        assert located[:2] == (2, (4, 5))
+        assert calls == {"_tropical_balance": 1, "_power_iteration": 1}
