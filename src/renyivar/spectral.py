@@ -40,8 +40,12 @@ the all-ones vector, the first of which is the largest row sum.  Classes are
 then balanced and iterated in order of decreasing bound, and the search
 stops at the first class whose bound falls below the best root found by a
 margin of ``1e-9 (1 + |best|)``.  Ties go to the smallest class index, and a
-bound that overflowed (NaN) never stops the search, so the result is the one
-a visit of every class returns, float for float.
+bound that overflowed (NaN) never stops the search.  So the result is the one
+a visit of every class returns, float for float, as long as the error of each
+bound and computed root stays inside the margin; the root's eigen-residual
+bounds its error only up to the conditioning of the class's Perron vector
+(see :func:`_locate_dominant`).  A skipped class is never balanced, so one
+whose max-plus walks overflow raises only when it is visited.
 
 Class finding on a support pattern, the dominant class of a log-matrix, and
 the balancing with the right and the left power iteration of a class block are
@@ -425,6 +429,12 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
     Returns ``(class_index, states, log_root)`` for the first class, in
     smallest-state order, with the strictly largest log Perron root (right
     iteration only, no eigendata); ``None`` when the support is acyclic.
+
+    Only the classes whose upper bound reaches the best root are balanced
+    (see :func:`_locate_dominant`).  So a class whose max-plus walks leave the
+    float range (log entries near ``-1e308`` on a cycle of a few states)
+    raises :class:`ClassStructureError` when it is visited, and is passed
+    over without error when another class's root lies above its bound.
     """
     return _locate_dominant(checked_array(log_entries, "entries", square=True, log=True))
 
@@ -439,8 +449,10 @@ def _root_bounds(log_entries: np.ndarray, members: Sequence[tuple[int, ...]]) ->
     inequality ``rho(A) <= max_i (A x)_i / x_i`` for any positive ``x``, so
     each step bounds every class by the largest log ratio over its states,
     and the bound is the least of the three (the first is the largest row
-    sum).  A step that overflows the float range gives NaN, which spreads to
-    every class in the steps after it; a NaN bound is returned as ``+inf``.
+    sum).  A state whose step leaves the float range gives its class a NaN or
+    ``+inf`` ratio, and a NaN bound is returned as ``+inf``.  The state then
+    restarts at ``x = 1`` (any positive ``x`` gives a bound), so the NaN never
+    reaches the rows of the other classes, whose bounds stay finite.
     """
     sizes = [len(cls) for cls in members]
     idx = np.fromiter((s for cls in members for s in cls), dtype=int)
@@ -458,7 +470,9 @@ def _root_bounds(log_entries: np.ndarray, members: Sequence[tuple[int, ...]]) ->
             log_y = pivot + np.log(np.exp(terms).sum(axis=1))
             # np.minimum and np.maximum keep NaN, so a NaN step leaves a NaN bound
             bound = np.minimum(bound, np.maximum.reduceat(log_y - log_x, starts))
-            log_x = log_y
+            # any positive x gives a bound, so a state that left the float range
+            # restarts at x = 1: a NaN there would reach every row through -inf + NaN
+            log_x = np.where(np.isfinite(log_y), log_y, 0.0)
     bound[np.isnan(bound)] = math.inf
     return bound
 
@@ -469,37 +483,34 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
 
     With two or more cyclic classes, every class is first bounded from above
     by :func:`_root_bounds`, and classes are visited by decreasing bound,
-    equal bounds in index order.  A visited class is balanced and
-    right-iterated (:func:`_class_step`) for its log root; a lone cyclic
-    class is visited without a bound.  The visit stops
-    at the first class whose bound ``U`` satisfies
-    ``U + 1e-9 (1 + |best|) < best`` for the best root so far: every class
-    after it has a bound no larger, so its computed root lies strictly below
-    ``best`` as long as the rounding of the bound and of the root (relative
-    errors near 1e-14 and at most ``TOL.perron_resid``) stays inside the
-    margin.  A NaN or ``+inf`` bound never stops the visit: both are visited
-    first.  Among equal largest roots the smallest class index wins,
-    so the result is the one an index-order visit of every class returns.
+    equal bounds in index order; a lone cyclic class is visited without a
+    bound.  A visited class is balanced and right-iterated
+    (:func:`_class_step`) for its log root.  The visit stops at the first
+    class whose bound ``U`` satisfies ``U + 1e-9 (1 + |best|) < best`` for
+    the best root so far: every class after it has a bound no larger.  Its
+    computed root then lies strictly below ``best`` as long as the error of
+    the bound and of the computed root stays inside that margin.  The bound
+    rounds at relative errors near 1e-14.  The root is certified by an
+    eigen-residual of at most ``TOL.perron_resid``, which bounds its error
+    only up to the condition number of the class's Perron vector, so on an
+    ill-conditioned class the margin is an assumption, not a proof.  A NaN
+    or ``+inf`` bound never stops the visit: both are visited first.  Among
+    equal largest roots the smallest class index wins.  Within the margin
+    the result is therefore the one an index-order visit of every class
+    returns, float for float.
     """
     decomposition = _classes_of(log_entries > -math.inf)
-    flags = decomposition.cyclic
-    if flags.count(True) < 2:  # nothing to compare, so nothing to bound
-        if True not in flags:
-            return None
-        k = flags.index(True)
-        cls = decomposition.classes[k]
-        whole = len(cls) == log_entries.shape[0]  # one class over all states: no gather
-        mu, _, lam, _ = _class_step(log_entries if whole else _block(log_entries, cls))
-        return k, cls, math.log(lam) + mu
-    cyclic = [k for k, flag in enumerate(flags) if flag]
+    cyclic = [k for k, flag in enumerate(decomposition.cyclic) if flag]
     members = [decomposition.classes[k] for k in cyclic]
-    upper = _root_bounds(log_entries, members).tolist()
+    # a lone cyclic class has nothing to lose to, so it is not bounded
+    upper = _root_bounds(log_entries, members).tolist() if len(members) > 1 else [math.inf] * len(members)
     best: tuple[int, tuple[int, ...], float] | None = None
     for c in sorted(range(len(members)), key=lambda c: -upper[c]):  # stable: equal bounds in index order
         if best is not None and upper[c] + 1e-9 * (1.0 + abs(best[2])) < best[2]:
             break
         k, cls = cyclic[c], members[c]
-        mu, _, lam, _ = _class_step(_block(log_entries, cls))
+        whole = len(cls) == log_entries.shape[0]  # one class over all states: no gather
+        mu, _, lam, _ = _class_step(log_entries if whole else _block(log_entries, cls))
         root = math.log(lam) + mu
         if best is None or root > best[2] or (root == best[2] and k < best[0]):
             best = (k, cls, root)

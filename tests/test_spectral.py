@@ -708,8 +708,9 @@ def _reducible_log_matrix(rng):
 
 
 # Log entries near the top and bottom of the float range: the bounds of the
-# huge classes overflow to NaN, which must never skip a class.  In the first,
-# only the third step overflows, so the NaN stays with class 0.
+# huge classes overflow to NaN, which must never skip a class, and the other
+# classes keep finite bounds.  In the first only the third step overflows; in
+# the second and the fourth an earlier one does.
 _EXTREME_LOG_MATRICES = [
     [[7e307, 0.0, -math.inf, -math.inf], [-math.inf, 1.0, 2.0, 0.0],
      [-math.inf, 2.0, 1.0, -math.inf], [-math.inf, -math.inf, -math.inf, -5.0]],
@@ -767,20 +768,68 @@ class TestLocateDominant:
                 # root; the search skips only with a margin of 1e-9 (1 + |best|)
                 assert upper >= root - 1e-12 * (1.0 + abs(root))
 
-    def test_classes_below_the_winner_are_not_balanced(self, monkeypatch):
-        """One dominant class and four far below it: only the dominant one is balanced and iterated."""
+    def test_an_overflowing_bound_stays_in_its_class(self):
+        overflowed = 0
+        for log_m in map(np.array, _EXTREME_LOG_MATRICES):
+            members = self._cyclic_members(log_m)
+            bound = spectral._root_bounds(log_m, members)
+            for cls, upper in zip(members, bound):
+                block = log_m[np.ix_(cls, cls)]
+                if np.abs(block[block > -math.inf]).max() < 1e3:
+                    assert math.isfinite(upper), (log_m, cls)
+                else:
+                    overflowed += upper == math.inf
+        assert overflowed == 4
+
+    def _count_steps(self, monkeypatch):
         calls = {"_tropical_balance": 0, "_power_iteration": 0}
         for name in calls:
             def counted(block, name=name, original=getattr(spectral, name)):
                 calls[name] += 1
                 return original(block)
             monkeypatch.setattr(spectral, name, counted)
+        return calls
+
+    def _four_below_one(self):
+        """Five 2-state classes joined by transient edges; class 2 dominates by e^37."""
         log_m = np.full((10, 10), -math.inf)
-        for k, offset in enumerate([0.0, 1.0, 40.0, 2.0, 3.0]):  # class 2 dominates by e^37
+        for k, offset in enumerate([0.0, 1.0, 40.0, 2.0, 3.0]):
             log_m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = offset + np.array([[0.5, 1.0], [1.0, -0.5]])
             if k:
                 log_m[2 * k - 1, 2 * k] = 3.0  # a transient edge into the next class
+        return log_m
+
+    def test_classes_below_the_winner_are_not_balanced(self, monkeypatch):
+        """One dominant class and four far below it: only the dominant one is balanced and iterated."""
+        calls = self._count_steps(monkeypatch)
         clear_memos()
-        located = spectral.dominant_class(log_m)
+        located = spectral.dominant_class(self._four_below_one())
         assert located[:2] == (2, (4, 5))
         assert calls == {"_tropical_balance": 1, "_power_iteration": 1}
+
+    def test_an_overflowing_winner_still_skips_the_others(self, monkeypatch):
+        """A self-loop at 9e307 overflows its own bound, not those of the four classes below it."""
+        log_m = np.full((11, 11), -math.inf)
+        log_m[1:, 1:] = self._four_below_one()
+        log_m[0, 0] = 9e307
+        log_m[0, 1] = 0.0
+        calls = self._count_steps(monkeypatch)
+        clear_memos()
+        assert spectral.dominant_class(log_m) == (0, (0,), 9e307)
+        assert calls == {"_tropical_balance": 1, "_power_iteration": 1}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")  # Karp's walks overflow
+    def test_an_overflowing_ring_raises_only_when_visited(self):
+        """A ring whose max-plus walks overflow is skipped below a self-loop at 0, and visited above one at -6e307."""
+        log_m = np.full((5, 5), -math.inf)
+        log_m[np.arange(4), (np.arange(4) + 1) % 4] = -5e307  # bound -5e307; 4 steps leave the float range
+        log_m[0, 4] = 0.0
+        with pytest.raises(ClassStructureError):
+            spectral._class_step(log_m[:4, :4])
+        log_m[4, 4] = 0.0
+        clear_memos()
+        assert spectral.dominant_class(log_m) == (1, (4,), 0.0)
+        log_m[4, 4] = -6e307
+        clear_memos()
+        with pytest.raises(ClassStructureError):
+            spectral.dominant_class(log_m)
