@@ -37,6 +37,11 @@ splits it into blocks of rows.
 
 After the sweep the script exits 1, naming them, if any public function of
 ``renyivar.__all__`` was never called.
+
+``--dump PATH`` also writes one JSON line per call, from its cold result:
+the tag, the function and either the raised error or the result's fields by
+dotted name (arrays as nested lists, floats exactly).  The warm result is in
+the digest only.  ``scripts/digest_diff.py`` compares two dumps.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -80,15 +86,36 @@ def encode(x) -> bytes:
     return repr(x).encode()
 
 
+def fields(x, name: str = "") -> dict:
+    """A result's values by dotted field name: arrays as nested lists, dataclasses field by field."""
+    def sub(key) -> str:
+        return f"{name}.{key}" if name else str(key)
+
+    if dataclasses.is_dataclass(x):
+        found: dict = {}
+        for f in dataclasses.fields(x):
+            found.update(fields(getattr(x, f.name), sub(f.name)))
+        return found
+    if isinstance(x, (tuple, list)) and any(dataclasses.is_dataclass(v) or isinstance(v, np.ndarray) for v in x):
+        found = {}
+        for k, v in enumerate(x):
+            found.update(fields(v, sub(k)))
+        return found
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    return {name or "result": x}
+
+
 class Digest:
     """A running SHA-256 over hashed call results, and their count."""
 
-    def __init__(self, errors: type, memos: list) -> None:
+    def __init__(self, errors: type, memos: list, dump=None) -> None:
         self.sha = hashlib.sha256()
         self.count = 0
         self.errors = errors
         self.memos = memos
         self.called: set = set()
+        self.dump = dump
 
     def call(self, tag: str, fn, *args, **kwargs):
         """Hash ``fn(*args, **kwargs)`` or the library error it raises, cold then warm.
@@ -100,13 +127,18 @@ class Digest:
             if state == b"cold":
                 for memo in self.memos:
                     memo.cache_clear()
+            error = None
             try:
                 result = fn(*args, **kwargs)
                 record = encode(result)
             except self.errors as exc:
-                result, record = None, f"{type(exc).__name__}: {exc}".encode()
+                error = f"{type(exc).__name__}: {exc}"
+                result, record = None, error.encode()
             self.sha.update(state + b" " + tag.encode() + b" " + fn.__name__.encode() + b" " + record + b"\n")
             self.count += 1
+            if self.dump is not None and state == b"cold":
+                decoded = {"error": error} if error is not None else {"fields": fields(result)}
+                self.dump.write(json.dumps({"tag": tag, "fn": fn.__name__, **decoded}, default=repr) + "\n")
         return result
 
 
@@ -234,6 +266,7 @@ def sweep_markov(digest: Digest, rv, tag, nu, theta, d, rng) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory that contains the renyivar package")
+    parser.add_argument("--dump", type=Path, help="also write each call's cold result to this file, one JSON line each")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "renyivar" / "__init__.py").is_file():
@@ -249,7 +282,8 @@ def main() -> int:
         for name, module in list(sys.modules.items()) if name.startswith("renyivar.")
         for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))
     }.values())
-    digest = Digest(rv.RenyiVarError, memos)
+    dump = args.dump.open("w") if args.dump else None
+    digest = Digest(rv.RenyiVarError, memos, dump)
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for tag, nu, theta, g in iid_pairs(rng, rv):
@@ -261,6 +295,8 @@ def main() -> int:
         digest.call(tag, rv.growth_rate, large)
         digest.call(tag, rv.growth_rate_bruteforce, large, 3)
         digest.call(tag, rv.log_mass_sequence, large, 3)
+    if dump is not None:
+        dump.close()
     never = [
         name for name in rv.__all__
         if callable(obj := getattr(rv, name)) and not isinstance(obj, type) and obj not in digest.called

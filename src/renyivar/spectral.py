@@ -10,10 +10,20 @@ is ``-inf`` exactly when that digraph has no directed cycle (M is nilpotent),
 and otherwise equals the log of the largest Perron root over the cyclic
 strongly connected components.  This module computes the class structure (by
 boolean reachability: the transitive closure of the support, grouped by
-mutual reachability), the Perron data of a class (by shifted power iteration,
-certified by an explicit eigen-residual), the growth rate both spectrally and
-by brute-force matrix powers, and the maximal stationary edge measure
-supported inside the cyclic classes.
+mutual reachability), the Perron data of a class, the growth rate both
+spectrally and by brute-force matrix powers, and the maximal stationary edge
+measure supported inside the cyclic classes.
+
+The Perron pair of a class comes from one product: repeated squaring of its
+balanced block plus ``I``, which subtracts nothing, so small entries keep
+their relative accuracy; the row sums of the power are the right vector and
+its column sums the left one (:func:`_perron_pair`).  Blocks of one and two
+states take closed forms.  Every vector is certified by its Collatz--Wielandt
+bracket (Collatz 1942; Wielandt 1950): for a positive ``x``, the ratios
+``(B x)_i / x_i`` enclose the Perron root of ``B``, and a vector is accepted
+only when they agree to ``1e-13`` relative.  Where the bracket stalls at the
+rounding floor, a shifted power iteration certified by its eigen-residual
+(:func:`_power_iteration`) takes over.
 
 The eigenvector twist ``u(i) M(i, j) w(j) / Z`` of a cyclic class, with
 ``u, w`` its left and right Perron vectors, is a stationary edge measure
@@ -34,22 +44,22 @@ build their log-matrices themselves, call the private ``_growth``,
 
 The dominant class needs an exact root only for the class that wins.  With
 two or more cyclic classes, :func:`_root_bounds` first bounds every class's
-log root from above by the Collatz--Wielandt inequality (Collatz 1942;
-Wielandt 1950): three pivoted log-space steps of the intra-class matrix from
-the all-ones vector, the first of which is the largest row sum.  Classes are
-then balanced and iterated in order of decreasing bound, and the search
-stops at the first class whose bound falls below the best root found by a
-margin of ``1e-9 (1 + |best|)``.  Ties go to the smallest class index, and a
-bound that overflowed (NaN) never stops the search.  So the result is the one
-a visit of every class returns, float for float, as long as the error of each
-bound and computed root stays inside the margin; the root's eigen-residual
-bounds its error only up to the conditioning of the class's Perron vector
-(see :func:`_locate_dominant`).  A skipped class is never balanced, so one
-whose max-plus walks overflow raises only when it is visited.
+log root from above by the Collatz--Wielandt inequality: three pivoted
+log-space steps of the intra-class matrix from the all-ones vector, the first
+of which is the largest row sum.  Classes are then balanced and solved in
+order of decreasing bound, and the search stops at the first class whose
+bound falls below the best root found by a margin of ``1e-9 (1 + |best|)``.
+Ties go to the smallest class index, and a bound that overflowed (NaN) never
+stops the search.  So the result is the one a visit of every class returns,
+float for float, as long as the error of each bound and computed root stays
+inside the margin (see :func:`_locate_dominant`).  A skipped class is never
+balanced, so one whose max-plus walks overflow raises only when it is
+visited.
 
-Class finding on a support pattern, the dominant class of a log-matrix, and
-the balancing with the right and the left power iteration of a class block are
-memoised on the exact bytes of their input (:func:`renyivar.numerics.memoised`):
+Class finding on a support pattern, the dominant class of a log-matrix, the
+balancing with the Perron pair of a class block, and the left power iteration
+that stands in for a pair without a left vector are memoised on the exact
+bytes of their input (:func:`renyivar.numerics.memoised`):
 the Markov certificates repeat them on the same matrices many times over.
 Each step is deterministic and returns read-only results, so a hit gives the
 very floats a recomputation would.  Each memo holds at most 64 arrays of at
@@ -97,6 +107,14 @@ __all__ = [
 
 _POWER_ITER_CAP = 10**6
 _RAYLEIGH_RTOL = 1e-14
+# The Perron pair by repeated squaring: the relative Collatz--Wielandt bracket
+# a vector must reach, the squarings before the first check and the checked
+# ones at most, and the relative move of the row sums below which a squaring
+# has reached the rounding floor.
+_BRACKET_RTOL = 1e-13
+_UNCHECKED_SQUARINGS = 6
+_SQUARING_CAP = 40
+_STALL_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +164,12 @@ class PerronData:
     class (kept in log form so exponentially tilted matrices cannot overflow
     it); ``lam`` exponentiates on demand.  ``left`` and ``right`` are full
     d-vectors, zero off the class, normalized so that ``sum(right) == 1`` and
-    ``dot(left, right) == 1``.  The eigen-residuals of both vectors, measured
-    on the rescaled class block, are at most ``1e-10`` relative to the root.
+    ``dot(left, right) == 1``.  Both vectors are certified on the rescaled
+    class block: by a Collatz--Wielandt bracket of relative width at most
+    ``1e-13``, which contains the root and bounds the eigen-residual of the
+    unit-norm vector by ``1e-13`` times the root (see :func:`_perron_pair`),
+    or, where that bracket stalls at the rounding floor, by an eigen-residual
+    of the power iteration of at most ``1e-10`` relative to the root.
     """
 
     log_lam: float
@@ -279,36 +301,167 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     """Max-plus eigendata of an irreducible class block given entrywise logs.
 
     Returns ``(mu, p)`` where ``mu`` is the maximum cycle mean of the log
-    entries (Karp's recursion) and ``p`` are node potentials satisfying
+    entries and ``p`` are node potentials satisfying
     ``block_log[i, j] + p[j] - p[i] <= mu`` with equality along some cycle.
     Rescaling by ``exp(p)`` and ``exp(-mu)`` therefore yields a matrix with
-    maximum entry one whose Perron root lies in ``[1, n]`` — the conditioning
-    needed for power iteration to certify tiny relative residuals even when
-    the original entries span hundreds of orders of magnitude.
+    maximum entry one whose Perron root lies in ``[1, n]``, the conditioning
+    the Perron solve needs to certify tiny relative errors even when the
+    original entries span hundreds of orders of magnitude.
+
+    One table serves both: ``walks[k, i]``, the heaviest walk of length ``k``
+    *starting* at ``i``.  These are Karp's walks on the reversed digraph,
+    which has the same cycle means, so Karp's formula on the table gives
+    ``mu``.  The potentials are the heaviest walks of the weights
+    ``block_log - mu``, ``p = max_k (walks[k] - k mu)``: every cycle of those
+    weights is at most zero, so a heaviest walk needs no more than ``n``
+    steps, and ``p[i] >= block_log[i, j] - mu + p[j]`` holds for every edge
+    (up to rounding).  A class whose walks leave the float range (log entries
+    near ``-1e308`` on a cycle of a few states) raises
+    :class:`ClassStructureError`.
     """
     n = block_log.shape[0]
-    # walks[k, v]: heaviest walk of length k ending at v, from anywhere
     walks = np.zeros((n + 1, n))
-    for k in range(n):
-        (walks[k, :, None] + block_log).max(axis=0, out=walks[k + 1])
-    final = walks[n]
-    # an unreached walks[k, v] gives the gap +inf, which the min ignores; the
-    # columns of an unreached final[v] (NaN or -inf) are left out of mu
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            (block_log + walks[k]).max(axis=1, out=walks[k + 1])
+        final = walks[n]
+        # an unreached walks[k, v] gives the gap +inf, which the min ignores; the
+        # columns of an unreached final[v] (NaN or -inf) are left out of mu
         means = ((final - walks[:n]) / np.arange(n, 0, -1)[:, None]).min(axis=0)
-    mu = float(means[final > -math.inf].max(initial=-math.inf))
-    if not math.isfinite(mu):
-        raise ClassStructureError("max cycle mean undefined: the block carries no cycle")
-    # longest-walk potentials for the zero-max-cycle-mean weights
-    weights = block_log - mu
-    p = np.zeros(n)
-    for _ in range(2 * n + 2):
-        relaxed = np.maximum(p, (weights + p).max(axis=1))
-        # no NaN or -0.0 ever enters p, so equal bytes mean equal entries
-        if relaxed.tobytes() == p.tobytes():
+        mu = float(means[final > -math.inf].max(initial=-math.inf))
+        if not math.isfinite(mu):
+            raise ClassStructureError("the max-plus walks of the class leave the float range")
+        pot = (walks - np.arange(n + 1)[:, None] * mu).max(axis=0)
+    return mu, pot
+
+
+def _balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`_tropical_balance` of a class block, in closed form for one or two states.
+
+    One state: ``mu`` is its log self-loop and ``p = 0``.  Two states (both
+    edges between them are present): ``mu = max(L00, L11, (L01 + L10) / 2)``
+    and ``p = (0, (L10 - L01) / 2)``, which makes both balanced off-diagonal
+    entries ``(L01 + L10) / 2 - mu``.  The halves are taken first, so that
+    two log entries near ``1e308`` do not overflow their sum.
+    """
+    n = block_log.shape[0]
+    if n == 1:
+        return float(block_log[0, 0]), np.zeros(1)
+    if n == 2:
+        (l00, l01), (l10, l11) = block_log.tolist()
+        return max(l00, l11, 0.5 * l01 + 0.5 * l10), np.array([0.0, 0.5 * l10 - 0.5 * l01])
+    return _tropical_balance(block_log)
+
+
+def _tight(lo: float, hi: float) -> bool:
+    """True when a Collatz--Wielandt bracket ``[lo, hi]`` is at most ``_BRACKET_RTOL`` wide, relatively."""
+    return hi - lo <= _BRACKET_RTOL * lo
+
+
+def _bracketed(image: np.ndarray, x: np.ndarray) -> bool:
+    """True when ``x > 0`` and the ratios ``image / x`` (``image = B x``) bracket the root tightly."""
+    if not x.min() > 0:
+        return False
+    ratios = image / x
+    return _tight(ratios.min(), ratios.max())
+
+
+def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    """The Perron pair of a 2 x 2 block ``[[a, b], [c, d]]`` in closed form, in Python floats.
+
+    ``lam = (a + d) / 2 + sqrt(((a - d) / 2)^2 + b c)``; each vector takes the
+    formula that subtracts nothing but the input difference ``a - d``:
+    right ``(lam - d, c)`` and left ``(lam - d, b)`` when ``a >= d``, else
+    right ``(b, lam - a)`` and left ``(c, lam - a)``.  Both are checked by the
+    Collatz--Wielandt bracket like any other pair.
+    """
+    (a, b), (c, d) = block.tolist()
+    half_gap = 0.5 * (a - d)
+    root = math.sqrt(half_gap * half_gap + b * c)
+    lam = 0.5 * (a + d) + root
+    if half_gap >= 0.0:
+        right, left = (half_gap + root, c), (half_gap + root, b)
+    else:
+        right, left = (b, root - half_gap), (c, root - half_gap)
+
+    def bracketed(x0: float, x1: float, y0: float, y1: float) -> bool:
+        if not min(x0, x1) > 0.0:
+            return False
+        q0, q1 = y0 / x0, y1 / x1
+        return _tight(min(q0, q1), max(q0, q1))
+
+    if not bracketed(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
+        return None
+    left_ok = bracketed(*left, a * left[0] + c * left[1], b * left[0] + d * left[1])
+    return lam, np.array(right), np.array(left) if left_ok else None
+
+
+def _squared_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    """The Perron pair of an irreducible nonnegative block by repeated squaring.
+
+    ``P`` starts as the block plus ``I`` and is squared, which subtracts
+    nothing.  The shift maps each eigenvalue ``z`` to ``1 + z``, so ``P`` is
+    primitive with a gap that rounding keeps; a tiny positive diagonal entry
+    makes a nearly periodic block primitive only in exact arithmetic, and
+    squarings of it stall.  ``P`` tends to a multiple of ``r l^T`` for the
+    right and left Perron vectors ``r, l``, so its row sums are the right
+    vector and its column sums the left one.  The first
+    ``_UNCHECKED_SQUARINGS`` squarings are not rescaled: a balanced block has
+    entries at most one, so those of ``P`` stay below ``(n + 1)^64``.  Each
+    later squaring follows a rescaling by the maximum, and checks both vectors
+    by their Collatz--Wielandt brackets on the block itself, at most
+    ``_SQUARING_CAP`` times, until both are tight.  A squaring that moves no
+    row sum by more than ``_STALL_RTOL`` relatively has reached the rounding
+    floor and ends the search, with the last tight right vector alone if
+    there was one.  The root is ``l . B r / l . r``, a weighted mean of the
+    right ratios, hence inside their bracket.
+    """
+    n = block.shape[0]
+    ones = np.ones(n)
+    power = block + np.eye(n)
+    for _ in range(_UNCHECKED_SQUARINGS):
+        power = power.dot(power)
+    previous = right_only = None
+    for _ in range(_SQUARING_CAP):
+        power /= power.max()
+        power = power.dot(power)
+        right = power.dot(ones)
+        image = block.dot(right)
+        if _bracketed(image, right):
+            left = ones.dot(power)
+            lam = float(left.dot(image)) / float(left.dot(right))
+            if _bracketed(left.dot(block), left):
+                return lam, right, left
+            right_only = lam, right, None
+        if previous is not None and (np.abs(right - previous) <= _STALL_RTOL * right).all():
             break
-        p = relaxed
-    return mu, p
+        previous = right
+    return right_only
+
+
+def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    """A certified Perron pair ``(lam, right, left)`` of a balanced class block, or ``None``.
+
+    One state is exact: ``lam`` is the entry and both vectors are ``[1]``.
+    Two states take :func:`_two_state_pair`, more take
+    :func:`_squared_pair`.  The right vector is returned only when its
+    Collatz--Wielandt bracket ``[lo, hi]`` satisfies
+    ``hi - lo <= _BRACKET_RTOL lo``; the left one is checked the same way on
+    the transpose and is ``None`` where that fails.  For a unit-norm right
+    vector ``r`` and any root in the bracket this gives
+    ``max |B r - lam r| <= _BRACKET_RTOL lam``, inside ``TOL.perron_resid``.
+    ``None`` means no certified pair (a bracket that stalls at the rounding
+    floor, or an infinite or NaN entry): the caller falls back to
+    :func:`_power_iteration`.
+    """
+    n = block.shape[0]
+    if not block.max() < math.inf:  # the max of the nonnegative block is NaN if an entry is
+        return None
+    if n == 1:
+        return float(block[0, 0]), np.ones(1), np.ones(1)
+    if n == 2:
+        return _two_state_pair(block)
+    return _squared_pair(block)
 
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
@@ -337,21 +490,34 @@ def _classes_of(support: np.ndarray) -> ClassDecomposition:
 
 
 @memoised
-def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """``(mu, pot, lam, right)``: balance a class block, then iterate on the right."""
-    mu, pot = _tropical_balance(block_log)
-    lam, right, _ = _power_iteration(_balanced_exp(block_log, mu, pot))
-    pot.flags.writeable = False
-    right.flags.writeable = False
-    return mu, pot, lam, right
+def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None]:
+    """``(mu, pot, lam, right, left)``: balance a class block, then find its Perron pair.
+
+    The pair is :func:`_perron_pair`'s; where it certifies no right vector,
+    the right vector and root come from :func:`_power_iteration`, and
+    ``left`` is ``None`` whenever no certified left vector came with the pair
+    (see :func:`_left_step`).
+    """
+    mu, pot = _balance(block_log)
+    block = _balanced_exp(block_log, mu, pot)
+    pair = _perron_pair(block)
+    if pair is None:
+        lam, right, _ = _power_iteration(block)
+        left = None
+    else:
+        lam, right, left = pair
+    for vector in (pot, right, left):
+        if vector is not None:
+            vector.flags.writeable = False
+    return mu, pot, lam, right, left
 
 
 @memoised
-def _left_step(block_log: np.ndarray, mu: float, pot: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(lam, left)``: the left iteration on the block balanced by ``(mu, pot)`` of :func:`_class_step`."""
-    lam, left, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
+def _left_step(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
+    """The left vector by power iteration on the block balanced by ``(mu, pot)``, for a pair without one."""
+    _, left, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
     left.flags.writeable = False
-    return lam, left
+    return left
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
@@ -373,9 +539,9 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
         raise ClassStructureError("class states outside the matrix index range")
     block_log = _block(log_entries, idx)
     _validate_cyclic_class(block_log, idx)
-    mu, pot, lam_r, right_block = _class_step(block_log)
-    lam_l, left_block = _left_step(block_log, mu, pot)
-    lam = 0.5 * (lam_r + lam_l)
+    mu, pot, lam, right_block, left_block = _class_step(block_log)
+    if left_block is None:
+        left_block = _left_step(block_log, mu, pot)
     log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot
     log_right = pot + safe_log(np.abs(right_block))
@@ -427,8 +593,8 @@ def dominant_class(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], float
     """The dominant cyclic class of the matrix whose elementwise log (finite or ``-inf``) is given.
 
     Returns ``(class_index, states, log_root)`` for the first class, in
-    smallest-state order, with the strictly largest log Perron root (right
-    iteration only, no eigendata); ``None`` when the support is acyclic.
+    smallest-state order, with the strictly largest log Perron root (the root
+    of the class step, no eigendata); ``None`` when the support is acyclic.
 
     Only the classes whose upper bound reaches the best root are balanced
     (see :func:`_locate_dominant`).  So a class whose max-plus walks leave the
@@ -484,16 +650,18 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
     With two or more cyclic classes, every class is first bounded from above
     by :func:`_root_bounds`, and classes are visited by decreasing bound,
     equal bounds in index order; a lone cyclic class is visited without a
-    bound.  A visited class is balanced and right-iterated
-    (:func:`_class_step`) for its log root.  The visit stops at the first
-    class whose bound ``U`` satisfies ``U + 1e-9 (1 + |best|) < best`` for
-    the best root so far: every class after it has a bound no larger.  Its
-    computed root then lies strictly below ``best`` as long as the error of
-    the bound and of the computed root stays inside that margin.  The bound
-    rounds at relative errors near 1e-14.  The root is certified by an
-    eigen-residual of at most ``TOL.perron_resid``, which bounds its error
-    only up to the condition number of the class's Perron vector, so on an
-    ill-conditioned class the margin is an assumption, not a proof.  A NaN
+    bound.  A visited class is balanced and solved (:func:`_class_step`) for
+    its log root.  The visit stops at the first class whose bound ``U``
+    satisfies ``U + 1e-9 (1 + |best|) < best`` for the best root so far:
+    every class after it has a bound no larger.  Its computed root then lies
+    strictly below ``best`` as long as the error of the bound and of the
+    computed root stays inside that margin.  The bound rounds at relative
+    errors near 1e-14.  The root lies in a Collatz--Wielandt bracket of
+    relative width at most 1e-13, well inside the margin; only where the
+    bracket stalls at the rounding floor does the power iteration's
+    eigen-residual of at most ``TOL.perron_resid`` certify it, and that
+    bounds its error only up to the condition number of the class's Perron
+    vector, so there the margin is an assumption, not a proof.  A NaN
     or ``+inf`` bound never stops the visit: both are visited first.  Among
     equal largest roots the smallest class index wins.  Within the margin
     the result is therefore the one an index-order visit of every class
@@ -510,7 +678,7 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
             break
         k, cls = cyclic[c], members[c]
         whole = len(cls) == log_entries.shape[0]  # one class over all states: no gather
-        mu, _, lam, _ = _class_step(log_entries if whole else _block(log_entries, cls))
+        mu, _, lam, _, _ = _class_step(log_entries if whole else _block(log_entries, cls))
         root = math.log(lam) + mu
         if best is None or root > best[2] or (root == best[2] and k < best[0]):
             best = (k, cls, root)
@@ -588,8 +756,10 @@ def maximal_abs_cont(m: NonnegMatrix) -> "PairMeasure | None":
     A Parry mass can lie below the float range (a class of Perron root ``r``
     charges a return path of ``L`` states about ``r^-L``); then this raises
     :class:`PerronConvergenceError` rather than return a smaller support.
-    The cost is the power iteration's on each class, slow for long sparse
-    classes (a ring of ``d`` states with one chord has a gap of order ``1 / d^2``).
+    The cost is the Perron solve's on each class: squarings of the class
+    block, cubic in its size, and the power iteration where a Parry mass is
+    too small for the bracket, slow for long sparse classes (a ring of ``d``
+    states with one chord has a gap of order ``1 / d^2``).
     """
     from .markov import PairMeasure  # deferred: markov depends on this module
 

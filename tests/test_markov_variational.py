@@ -126,6 +126,18 @@ class TestSolveMarkovVariational:
         g = EdgeFn(spread(rng.uniform(-2.0, 2.0, size=(2, 2))))
         assert varadhan_solve(g, nu).class_used == (0, 2)
 
+    def test_exactly_tied_cycle_loses_to_the_self_loop(self):
+        # A self-loop and a 2-cycle, each a deterministic kernel under both
+        # measures: both tilted roots are exactly 0, so class (0,) wins the tie
+        # and the rate is exactly zero.  A power iteration put the 2-cycle's
+        # root about 1e-15 above 0, which handed it the win.
+        nu = PairMeasure([[0.6, 0.0, 0.0], [0.0, 0.0, 0.2], [0.0, 0.2, 0.0]])
+        th = PairMeasure([[0.2, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.4, 0.0]])
+        for a in (0.25, 0.5, 0.9):
+            solution = solve_markov_variational(Alpha(a), nu, th)
+            assert solution.class_used == (0,)
+            assert solution.value.raw == 0.0
+
     def test_attainment_and_balance_across_grid(self, rng):
         for a in ALPHA_GRID:
             for _ in range(5):

@@ -212,6 +212,17 @@ class TestPerron:
         )
         assert data.log_lam == pytest.approx(want, abs=1e-10)
 
+    def test_masses_spanning_22_decades_are_bracketed(self):
+        # A shifted power iteration stopped on a Rayleigh quotient returned a
+        # right vector whose smallest mass was off by 8 decades here (a bracket
+        # of 2.2e7, a mass range of 8e-15); the true range is 2.6e-23.
+        log_entries = np.array([[32.0, -25.0, -22.0, -math.inf], [-math.inf, -40.0, 15.0, -math.inf],
+                                [-3.0, -math.inf, -18.0, -24.0], [-10.0, -math.inf, -math.inf, -math.inf]])
+        data = perron_from_log(log_entries, range(4))
+        assert data.right.min() < 1e-22 * data.right.max()
+        assert _log_bracket_width(log_entries, data.right) <= 1e-13
+        assert _log_bracket_width(log_entries.T, data.left) <= 1e-13
+
     def test_overflowing_balanced_block_fails_before_iterating(self):
         # Karp's mean of the 9e299 self-loop rounds about 3e284 low, so the
         # balanced block holds exp(+3e284) = inf: no iteration can certify it,
@@ -528,7 +539,7 @@ def _reference_power_iteration(block):
 MEMO_USERS = {
     "_classes_of": (lambda k: np.array([(k >> b) & 1 for b in range(9)], dtype=bool).reshape(3, 3), 1),
     "_locate_dominant": (lambda k: np.array([[float(k)]]), 0),
-    "_class_step": (lambda k: np.array([[float(k)]]), 2),
+    "_class_step": (lambda k: np.array([[float(k)]]), 3),
     "_left_step": (lambda k: np.array([[float(k)]]), 1),
 }
 
@@ -536,8 +547,33 @@ MEMO_USERS = {
 def _memo_args(name, block):
     """The arguments of a memoised step for one input block."""
     if name == "_left_step":  # the left iteration takes the balancing of the block
-        return (block, *spectral._tropical_balance(block))
+        return (block, *spectral._balance(block))
     return (block,)
+
+
+def _bracket_width(block, vector):
+    """The relative width ``(hi - lo) / lo`` of the Collatz--Wielandt ratios of a positive vector."""
+    ratios = block @ vector / vector
+    return (ratios.max() - ratios.min()) / ratios.min()
+
+
+def _log_bracket_width(log_entries, vector):
+    """:func:`_bracket_width` on ``exp(log_entries)``, summed in log space so that no entry overflows."""
+    terms = log_entries + np.log(vector)[None, :]
+    top = terms.max(axis=1)
+    log_ratios = top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - np.log(vector)
+    return math.expm1(log_ratios.max() - log_ratios.min())
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named functions of ``spectral`` (each takes one argument)."""
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        def counted(block, name=name, original=getattr(spectral, name)):
+            calls[name] += 1
+            return original(block)
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 def _clear_memos(clear=True):
@@ -556,6 +592,11 @@ def _arrays_in(result):
     return []
 
 
+# Its class step certifies the right vector only: the left one comes from _left_step.
+_LEFT_BY_POWER_ITERATION = np.exp([[-math.inf, -25.0, -math.inf, -36.0], [13.0, -math.inf, -24.0, 34.0],
+                                   [-math.inf, 0.0, -math.inf, -26.0], [-35.0, -math.inf, -math.inf, 32.0]])
+
+
 class TestClassStep:
     def _class_blocks(self, rng, count):
         """Log-blocks of cyclic classes of random sparse matrices, entries in +-60."""
@@ -570,20 +611,39 @@ class TestClassStep:
                     blocks.append(log_m[np.ix_(cls, cls)])
         return blocks
 
-    def test_tropical_balance_bit_identical_to_loops(self, rng):
-        for block in self._class_blocks(rng, 400):
-            mu, p = spectral._tropical_balance(block)
-            want_mu, want_p = _reference_tropical_balance(block)
-            assert mu.hex() == want_mu.hex()
-            assert p.tobytes() == want_p.tobytes()
+    def test_tropical_balance_matches_karp_and_balances(self, rng):
+        """Karp's mean of the loops, potentials that bound every edge, and a cycle that meets the bound.
 
-    def test_power_iteration_bit_identical_to_reference(self, rng):
-        """Balanced class blocks of 1 to 70 states, C-order and transposed (as the left step)."""
+        ``_balance`` (closed forms for one or two states) and
+        ``_tropical_balance`` both hold all three, up to a few ulps of the
+        heaviest walk of ``n`` steps.
+        """
+        for block in self._class_blocks(rng, 400):
+            n = block.shape[0]
+            finite = block > -math.inf
+            ulp = math.ulp(n * float(np.abs(block[finite]).max()))
+            want_mu, _ = _reference_tropical_balance(block)
+            for balance in (spectral._tropical_balance, spectral._balance):
+                mu, p = balance(block)
+                assert abs(mu - want_mu) <= 4 * ulp
+                slack = np.where(finite, block + p[None, :] - p[:, None] - mu, -math.inf)
+                assert slack.max() <= 8 * ulp
+                tight = slack >= -8 * ulp
+                assert any(spectral._decompose(tight, range(n)).cyclic), (block, balance)
+
+    @staticmethod
+    def _hamiltonian_blocks(rng):
+        """Log-blocks of 1 to 70 states and 130 more of up to 9, each one class through a Hamiltonian cycle."""
         sizes = list(range(1, 71)) + [int(k) for k in rng.integers(1, 10, size=130)]
         for n in sizes:
             block_log = rng.uniform(-60.0, 60.0, size=(n, n))
             block_log[rng.random((n, n)) < float(rng.uniform(0.0, 0.5))] = -math.inf
-            block_log[np.arange(n), (np.arange(n) + 1) % n] = 0.0  # a Hamiltonian cycle: one class
+            block_log[np.arange(n), (np.arange(n) + 1) % n] = 0.0
+            yield block_log
+
+    def test_power_iteration_bit_identical_to_reference(self, rng):
+        """Balanced class blocks of 1 to 70 states, C-order and transposed (as the left step)."""
+        for block_log in self._hamiltonian_blocks(rng):
             balanced = spectral._balanced_exp(block_log, *spectral._tropical_balance(block_log))
             for block in (balanced, balanced.T):
                 lam, vector, residual = spectral._power_iteration(block)
@@ -591,22 +651,56 @@ class TestClassStep:
                 assert (lam.hex(), residual.hex()) == (want_lam.hex(), want_residual.hex())
                 assert vector.tobytes() == want_vector.tobytes()
 
+    def test_perron_pairs_are_bracketed(self, rng):
+        """The blocks of the power-iteration pin, C-order and transposed: every vector the squaring or a
+        closed form returns has a Collatz--Wielandt bracket of at most 1e-13, and so has its residual."""
+        pairs = lefts = 0
+        for block_log in self._hamiltonian_blocks(rng):
+            balanced = spectral._balanced_exp(block_log, *spectral._balance(block_log))
+            for block in (balanced, balanced.T):
+                pair = spectral._perron_pair(block)
+                if pair is None:
+                    continue
+                pairs += 1
+                lam, right, left = pair
+                assert _bracket_width(block, right) <= 1e-13
+                unit = right / np.linalg.norm(right)
+                assert np.abs(block @ unit - lam * unit).max() <= 1e-13 * lam
+                if left is not None:
+                    lefts += 1
+                    assert _bracket_width(block.T, left) <= 1e-13
+        assert pairs == 400 and lefts >= 390
+
+    def test_closed_forms_match_eigvals(self, rng):
+        """One state is exact; two states give the root of ``np.linalg.eigvals`` and vectors it brackets."""
+        for x in (0.0, -3.5, 7e307, -5e-324):
+            assert spectral._class_step(np.array([[x]])) == (x, (0.0,), 1.0, (1.0,), (1.0,))
+        lefts = 0
+        for _ in range(300):
+            block_log = rng.uniform(-30.0, 30.0, size=(2, 2))
+            block_log[np.diag_indices(2)] = np.where(rng.random(2) < 0.3, -math.inf, block_log.diagonal())
+            mu, pot, lam, right, left = spectral._class_step(block_log)
+            block = spectral._balanced_exp(block_log, mu, pot)
+            assert lam == pytest.approx(max(np.linalg.eigvals(block).real), rel=1e-14)
+            for matrix, vector in ((block, right), (block.T, left)):
+                if vector is not None:
+                    ratios = matrix @ vector / vector
+                    assert np.abs(ratios - lam).max() <= 1e-13 * lam
+            lefts += left is not None
+        assert lefts >= 290
+
     def test_large_class_is_balanced_once(self, rng, monkeypatch):
-        """Above the memo bound, the left step reuses the balancing of the right step."""
-        calls = {"_tropical_balance": 0, "_power_iteration": 0}
-        for name in calls:
-            def counted(block, name=name, original=getattr(spectral, name)):
-                calls[name] += 1
-                return original(block)
-            monkeypatch.setattr(spectral, name, counted)
+        """Above the memo bound, one class step balances the block and returns both vectors."""
+        calls = _count_calls(monkeypatch, "_class_step", "_tropical_balance", "_power_iteration")
         n = numerics.MEMO_MAX_STATES + 1
         data = perron_from_log(rng.uniform(-1.0, 1.0, size=(n, n)), range(n))
-        assert calls == {"_tropical_balance": 1, "_power_iteration": 2}
+        assert calls == {"_class_step": 1, "_tropical_balance": 1, "_power_iteration": 0}
         assert data.right.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_memo_hits_equal_recomputation(self, rng):
         """Cold and warm memos give the same bytes, interleaved with other matrices."""
         ms = [random_matrix(rng, int(rng.integers(2, 8)), density=0.6 if k % 3 else 1.0) for k in range(30)]
+        ms.append(_LEFT_BY_POWER_ITERATION)
 
         def outputs(m, cold):
             log_m = safe_log(m)
@@ -668,7 +762,7 @@ def _reference_locate_dominant(log_entries):
         if not decomposition.cyclic[k]:
             continue
         whole = len(cls) == log_entries.shape[0]
-        mu, _, lam, _ = spectral._class_step(log_entries if whole else log_entries[np.ix_(cls, cls)])
+        mu, _, lam, _, _ = spectral._class_step(log_entries if whole else log_entries[np.ix_(cls, cls)])
         root = math.log(lam) + mu
         if best is None or root > best[2]:
             best = (k, cls, root)
@@ -724,7 +818,7 @@ _EXTREME_LOG_MATRICES = [
 def _tie_behind_a_looser_bound():
     """Class 0, a self-loop, ties with class 1, whose looser bound puts it first in the visit."""
     pair = np.array([[0.0, 0.0], [0.0, -math.inf]])  # root log((1 + sqrt 5) / 2), bound log 2
-    mu, _, lam, _ = spectral._class_step(pair)
+    mu, _, lam, _, _ = spectral._class_step(pair)
     log_m = np.full((3, 3), -math.inf)
     log_m[0, 0] = math.log(lam) + mu
     log_m[0, 1] = 0.0
@@ -762,7 +856,7 @@ class TestLocateDominant:
                 continue
             bound = spectral._root_bounds(log_m, members)
             for cls, upper in zip(members, bound):
-                mu, _, lam, _ = spectral._class_step(log_m[np.ix_(cls, cls)])
+                mu, _, lam, _, _ = spectral._class_step(log_m[np.ix_(cls, cls)])
                 root = math.log(lam) + mu
                 # a bound can be tight (a single cycle) and round an ulp below the
                 # root; the search skips only with a margin of 1e-9 (1 + |best|)
@@ -781,15 +875,6 @@ class TestLocateDominant:
                     overflowed += upper == math.inf
         assert overflowed == 4
 
-    def _count_steps(self, monkeypatch):
-        calls = {"_tropical_balance": 0, "_power_iteration": 0}
-        for name in calls:
-            def counted(block, name=name, original=getattr(spectral, name)):
-                calls[name] += 1
-                return original(block)
-            monkeypatch.setattr(spectral, name, counted)
-        return calls
-
     def _four_below_one(self):
         """Five 2-state classes joined by transient edges; class 2 dominates by e^37."""
         log_m = np.full((10, 10), -math.inf)
@@ -800,12 +885,12 @@ class TestLocateDominant:
         return log_m
 
     def test_classes_below_the_winner_are_not_balanced(self, monkeypatch):
-        """One dominant class and four far below it: only the dominant one is balanced and iterated."""
-        calls = self._count_steps(monkeypatch)
+        """One dominant class and four far below it: only the dominant one gets a class step."""
+        calls = _count_calls(monkeypatch, "_class_step")
         clear_memos()
         located = spectral.dominant_class(self._four_below_one())
         assert located[:2] == (2, (4, 5))
-        assert calls == {"_tropical_balance": 1, "_power_iteration": 1}
+        assert calls == {"_class_step": 1}
 
     def test_an_overflowing_winner_still_skips_the_others(self, monkeypatch):
         """A self-loop at 9e307 overflows its own bound, not those of the four classes below it."""
@@ -813,18 +898,17 @@ class TestLocateDominant:
         log_m[1:, 1:] = self._four_below_one()
         log_m[0, 0] = 9e307
         log_m[0, 1] = 0.0
-        calls = self._count_steps(monkeypatch)
+        calls = _count_calls(monkeypatch, "_class_step")
         clear_memos()
         assert spectral.dominant_class(log_m) == (0, (0,), 9e307)
-        assert calls == {"_tropical_balance": 1, "_power_iteration": 1}
+        assert calls == {"_class_step": 1}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")  # Karp's walks overflow
     def test_an_overflowing_ring_raises_only_when_visited(self):
         """A ring whose max-plus walks overflow is skipped below a self-loop at 0, and visited above one at -6e307."""
         log_m = np.full((5, 5), -math.inf)
         log_m[np.arange(4), (np.arange(4) + 1) % 4] = -5e307  # bound -5e307; 4 steps leave the float range
         log_m[0, 4] = 0.0
-        with pytest.raises(ClassStructureError):
+        with pytest.raises(ClassStructureError, match="max-plus walks of the class leave the float range"):
             spectral._class_step(log_m[:4, :4])
         log_m[4, 4] = 0.0
         clear_memos()
