@@ -339,17 +339,24 @@ def _balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     """:func:`_tropical_balance` of a class block, in closed form for one or two states.
 
     One state: ``mu`` is its log self-loop and ``p = 0``.  Two states (both
-    edges between them are present): ``mu = max(L00, L11, (L01 + L10) / 2)``
-    and ``p = (0, (L10 - L01) / 2)``, which makes both balanced off-diagonal
-    entries ``(L01 + L10) / 2 - mu``.  The halves are taken first, so that
-    two log entries near ``1e308`` do not overflow their sum.
+    edges between them are present): ``mu = max(L00, L11, (L01 + L10) / 2)``,
+    with the halves taken first so that two log entries near ``1e308`` do not
+    overflow their sum, and ``p[i] = max(0, L[i, j] - mu)`` for the other
+    state ``j``.  That is the heaviest walk of the weights ``L - mu`` from
+    ``i``, as in :func:`_tropical_balance`: going around a cycle gains
+    nothing.  An edge out of a state with ``p > 0`` is balanced to weight
+    one, so where a self-loop outweighs the cycle by hundreds of log units
+    only the other edge underflows, and the right vector stays exact.
+    Potentials that balanced both edges alike would underflow both and lose
+    the right vector as well.
     """
     n = block_log.shape[0]
     if n == 1:
         return float(block_log[0, 0]), np.zeros(1)
     if n == 2:
         (l00, l01), (l10, l11) = block_log.tolist()
-        return max(l00, l11, 0.5 * l01 + 0.5 * l10), np.array([0.0, 0.5 * l10 - 0.5 * l01])
+        mu = max(l00, l11, 0.5 * l01 + 0.5 * l10)
+        return mu, np.array([max(0.0, l01 - mu), max(0.0, l10 - mu)])
     return _tropical_balance(block_log)
 
 

@@ -223,6 +223,16 @@ class TestPerron:
         assert _log_bracket_width(log_entries, data.right) <= 1e-13
         assert _log_bracket_width(log_entries.T, data.left) <= 1e-13
 
+    def test_two_states_keep_the_right_vector_beside_an_underflowing_edge(self):
+        # The self-loop at 0 outweighs the 2-cycle by about 1730 log units, so
+        # the balanced edge 0 -> 1 underflows; the right vector is still
+        # exact: right[1] / right[0] = M10 / (lam - M11).
+        log_entries = np.array([[4.58, -3459.7], [8.06, -2.12]])
+        data = perron_from_log(log_entries, (0, 1))
+        assert data.log_lam == 4.58
+        want = math.exp(8.06) / (math.exp(4.58) - math.exp(-2.12))
+        assert data.right[1] / data.right[0] == pytest.approx(want, rel=1e-14)
+
     def test_overflowing_balanced_block_fails_before_iterating(self):
         # Karp's mean of the 9e299 self-loop rounds about 3e284 low, so the
         # balanced block holds exp(+3e284) = inf: no iteration can certify it,
