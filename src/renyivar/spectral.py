@@ -346,7 +346,7 @@ def _balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     ``i``, as in :func:`_tropical_balance`: going around a cycle gains
     nothing.  An edge out of a state with ``p > 0`` is balanced to weight
     one, so where a self-loop outweighs the cycle by hundreds of log units
-    only the other edge underflows, and the right vector stays exact.
+    only the other edge underflows, and the right vector stays accurate.
     Potentials that balanced both edges alike would underflow both and lose
     the right vector as well.
     """
