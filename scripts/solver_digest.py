@@ -47,6 +47,7 @@ the digest only.  ``scripts/digest_diff.py`` compares two dumps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -282,21 +283,19 @@ def main() -> int:
         for name, module in list(sys.modules.items()) if name.startswith("renyivar.")
         for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))
     }.values())
-    dump = args.dump.open("w") if args.dump else None
-    digest = Digest(rv.RenyiVarError, memos, dump)
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        for tag, nu, theta, g in iid_pairs(rng, rv):
-            sweep_iid(digest, rv, f"seed={seed} {tag}", nu, theta, g, rng)
-        for tag, nu, theta, d in markov_pairs(rng, rv, workloads):
-            sweep_markov(digest, rv, f"seed={seed} {tag}", nu, theta, d, rng)
-        large = rv.NonnegMatrix(rng.gamma(1.0, size=(LARGE_D, LARGE_D)) * (rng.random((LARGE_D, LARGE_D)) < 0.05))
-        tag = f"seed={seed} large d={LARGE_D}"
-        digest.call(tag, rv.growth_rate, large)
-        digest.call(tag, rv.growth_rate_bruteforce, large, 3)
-        digest.call(tag, rv.log_mass_sequence, large, 3)
-    if dump is not None:
-        dump.close()
+    with args.dump.open("w") if args.dump else contextlib.nullcontext() as dump:
+        digest = Digest(rv.RenyiVarError, memos, dump)
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            for tag, nu, theta, g in iid_pairs(rng, rv):
+                sweep_iid(digest, rv, f"seed={seed} {tag}", nu, theta, g, rng)
+            for tag, nu, theta, d in markov_pairs(rng, rv, workloads):
+                sweep_markov(digest, rv, f"seed={seed} {tag}", nu, theta, d, rng)
+            large = rv.NonnegMatrix(rng.gamma(1.0, size=(LARGE_D, LARGE_D)) * (rng.random((LARGE_D, LARGE_D)) < 0.05))
+            tag = f"seed={seed} large d={LARGE_D}"
+            digest.call(tag, rv.growth_rate, large)
+            digest.call(tag, rv.growth_rate_bruteforce, large, 3)
+            digest.call(tag, rv.log_mass_sequence, large, 3)
     never = [
         name for name in rv.__all__
         if callable(obj := getattr(rv, name)) and not isinstance(obj, type) and obj not in digest.called
