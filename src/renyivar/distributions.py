@@ -157,19 +157,28 @@ def _feasible_support(regime: str, nu_support: np.ndarray, theta_support: np.nda
     return theta_support
 
 
-def abs_cont(nu: Dist, theta: Dist) -> bool:
-    """True when nu is absolutely continuous w.r.t. theta (support containment)."""
-    _check_dims(nu, theta)
+def _abs_cont(nu: Dist, theta: Dist) -> bool:
     return bool((nu.support <= theta.support).all())
 
 
-def rel_entropy(nu: Dist, theta: Dist) -> ExtReal:
-    """Relative entropy D(nu || theta); +inf unless nu << theta."""
-    if not abs_cont(nu, theta):
+def abs_cont(nu: Dist, theta: Dist) -> bool:
+    """True when nu is absolutely continuous w.r.t. theta (support containment)."""
+    _check_dims(nu, theta)
+    return _abs_cont(nu, theta)
+
+
+def _rel_entropy(nu: Dist, theta: Dist) -> ExtReal:
+    if not _abs_cont(nu, theta):
         return POS_INF
     mask = nu.support
     n = nu.weights[mask]
     return ExtReal.finite(float((n * (nu.log_weights[mask] - theta.log_weights[mask])).sum()))
+
+
+def rel_entropy(nu: Dist, theta: Dist) -> ExtReal:
+    """Relative entropy D(nu || theta); +inf unless nu << theta."""
+    _check_dims(nu, theta)
+    return _rel_entropy(nu, theta)
 
 
 @memoised
@@ -202,9 +211,9 @@ def renyi_via_reference(alpha: Alpha, nu: Dist, theta: Dist, eta: Dist) -> ExtRe
     reference.  Requires ``nu << eta`` and ``theta << eta``.
     """
     _check_dims(nu, theta, eta)
-    if not abs_cont(nu, eta):
+    if not _abs_cont(nu, eta):
         raise AbsoluteContinuityError("nu is not absolutely continuous w.r.t. the reference")
-    if not abs_cont(theta, eta):
+    if not _abs_cont(theta, eta):
         raise AbsoluteContinuityError("theta is not absolutely continuous w.r.t. the reference")
     return _renyi_via_reference(alpha.value, nu, theta, eta)
 
@@ -212,7 +221,7 @@ def renyi_via_reference(alpha: Alpha, nu: Dist, theta: Dist, eta: Dist) -> ExtRe
 def _renyi_via_reference(a: float, nu: Dist, theta: Dist, eta: Dist) -> ExtReal:
     if a < 0:
         return _renyi_via_reference(1.0 - a, theta, nu, eta)
-    if a > 1 and not abs_cont(nu, theta):
+    if a > 1 and not _abs_cont(nu, theta):
         return POS_INF
     mask = nu.support & theta.support
     if not mask.any():

@@ -3,9 +3,15 @@
 The closed-form machinery elsewhere in the library reduces limits to spectral
 quantities.  This module approaches the same limits the slow, definitional
 way -- explicit recursions over path space and blind random search over the
-feasible sets -- sharing *no* code with the closed forms beyond the basic
-kernel accessors, so agreement between the two routes is meaningful evidence
-rather than a tautology.
+feasible sets -- so agreement between the two routes is meaningful evidence
+rather than a tautology.  What they share with the closed forms is the
+input side: ``Dist`` and ``PairMeasure`` with their checks
+(``_check_dims``, ``_feasible_support``, ``abs_cont_pair``), the ``kernel``
+accessor, class finding (``classes``) and the log-domain primitives of
+:mod:`renyivar.numerics`; and the claims they are held against, which come
+from ``renyi_div``, ``renyi_rate``, ``rel_entropy_rate`` and
+``growth_rate_from_log``.  The path recursions and the scoring of every
+random-search candidate are this module's own code.
 
 Two convergence modes are reported for every rate:
 
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Alpha, Dist, _check_dims, _feasible_support, rel_entropy, renyi_div
-from .errors import DimensionMismatchError, InputValidationError
+from .distributions import Alpha, Dist, _check_dims, _feasible_support, renyi_div
+from .errors import DimensionMismatchError, InputValidationError, InvalidDistributionError
 from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, kernel, rel_entropy_rate, renyi_rate
 from .numerics import checked_array, log_vecmat, logsumexp
@@ -280,11 +286,41 @@ def _beaten_by(regime: str, candidate: float, target: ExtReal) -> float:
     return candidate - target.raw
 
 
-def _iid_objective(a: float, weights: np.ndarray, nu: Dist, theta: Dist) -> float:
-    mu = Dist(weights)
-    d_theta = rel_entropy(mu, theta)
-    d_nu = rel_entropy(mu, nu)
-    return d_theta.raw / a - d_nu.raw / (a - 1.0)
+def _objective(
+    a: float, mask: np.ndarray, masses: np.ndarray, log_masses: np.ndarray,
+    log_theta: np.ndarray, log_nu: np.ndarray,
+) -> float:
+    """J_a(mu) = D(mu || theta) / a - D(mu || nu) / (a - 1), from mu's own arrays.
+
+    ``masses`` are the candidate's masses on its support ``mask`` (letters,
+    or edges), and ``log_masses`` the logs of what each entropy compares
+    there: the weights for a distribution, the kernel entries for a chain.
+    ``log_theta`` and ``log_nu`` are the references' logs of the same,
+    ``-inf`` off their supports.  Where ``mask`` leaves a reference's
+    support, a term and so that entropy is ``+inf``.
+    """
+    d_theta = float(np.add.reduce(masses * (log_masses - log_theta[mask])))
+    d_nu = float(np.add.reduce(masses * (log_masses - log_nu[mask])))
+    return d_theta / a - d_nu / (a - 1.0)
+
+
+def _iid_candidate(
+    a: float, weights: np.ndarray, log_theta: np.ndarray, log_nu: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The objective of the candidate with these weights, and the weights normalised.
+
+    Weights must be finite and nonnegative with a finite positive total, as
+    for a :class:`Dist`.
+    """
+    total = float(np.add.reduce(weights))
+    if not (weights.min() >= 0.0 and 0.0 < total < math.inf):  # a NaN fails both
+        raise InvalidDistributionError(
+            "candidate weights must be finite and nonnegative with a finite positive total"
+        )
+    w = weights / total
+    mask = w > 0
+    masses = w[mask]
+    return _objective(a, mask, masses, np.log(masses), log_theta, log_nu), w
 
 
 def _search_iid(
@@ -299,6 +335,7 @@ def _search_iid(
         raise InputValidationError("the feasible set of the descriptor is empty")
     target = renyi_div(problem.alpha, nu, theta)
     better = max if regime != "alpha_in_01" else min
+    log_theta, log_nu = theta.log_weights, nu.log_weights
     rng = np.random.default_rng(seed)
     shapes = (1.0, 0.3, 3.0)
     best_val: float | None = None
@@ -312,15 +349,15 @@ def _search_iid(
         weights[chosen] = rng.gamma(shapes[t % len(shapes)], size=chosen.size)
         if weights.sum() <= 0:
             continue
-        val = _iid_objective(a, weights, nu, theta)
+        val, normalised = _iid_candidate(a, weights, log_theta, log_nu)
         if best_val is None or better(val, best_val) == val:
-            best_val, best_weights = val, weights / weights.sum()
+            best_val, best_weights = val, normalised
     assert best_val is not None and best_weights is not None
     best_sampled = best_val
     # Coordinate tilts with step halving, restricted to the full feasible support.
     weights = np.zeros(nu.d)
     weights[idx] = np.maximum(best_weights[idx], 1e-12)
-    current = _iid_objective(a, weights, nu, theta)
+    current, _ = _iid_candidate(a, weights, log_theta, log_nu)
     step = 0.5
     for _ in range(hill_steps):
         improved = False
@@ -328,9 +365,9 @@ def _search_iid(
             for factor in (1.0 + step, 1.0 / (1.0 + step)):
                 trial_w = weights.copy()
                 trial_w[x] *= factor
-                val = _iid_objective(a, trial_w, nu, theta)
+                val, normalised = _iid_candidate(a, trial_w, log_theta, log_nu)
                 if better(val, current) == val and val != current:
-                    current, weights = val, trial_w / trial_w.sum()
+                    current, weights = val, normalised
                     improved = True
         if not improved:
             step *= 0.5
@@ -397,9 +434,11 @@ def _random_stationary(
 
 
 def _markov_objective_value(
-    a: float, mu: PairMeasure, nu: PairMeasure, theta: PairMeasure
+    a: float, mu: PairMeasure, log_k_theta: np.ndarray, log_k_nu: np.ndarray
 ) -> float:
-    return rel_entropy_rate(mu, theta).raw / a - rel_entropy_rate(mu, nu).raw / (a - 1.0)
+    mask = mu.entries > 0
+    log_k = np.log(kernel(mu).rows[mask])
+    return _objective(a, mask, mu.entries[mask], log_k, log_k_theta, log_k_nu)
 
 
 def _search_markov(
@@ -415,6 +454,8 @@ def _search_markov(
         raise InputValidationError("the descriptor admits no stationary feasible candidate")
     target = renyi_rate(problem.alpha, nu, theta)
     better = max if regime != "alpha_in_01" else min
+    with np.errstate(divide="ignore"):  # log 0 = -inf off the edge supports
+        log_k_theta, log_k_nu = np.log(kernel(theta).rows), np.log(kernel(nu).rows)
     rng = np.random.default_rng(seed)
     all_states = np.arange(nu.d)
     shapes = (1.0, 0.3, 3.0)
@@ -430,7 +471,7 @@ def _search_markov(
             candidate = _random_stationary(rng, edge_mask, shapes[t % len(shapes)], all_states)
             if candidate is None:
                 continue
-        val = _markov_objective_value(a, candidate, nu, theta)
+        val = _markov_objective_value(a, candidate, log_k_theta, log_k_nu)
         if best_val is None or better(val, best_val) == val:
             best_val, best_mu = val, candidate
     assert best_val is not None and best_mu is not None
@@ -443,7 +484,7 @@ def _search_markov(
         outs = np.flatnonzero(edge_mask[i][states])
         rows[i, states[outs]] = 1.0 / outs.size
     current_mu = PairMeasure(_stationary_law(rows, states)[:, None] * rows)
-    current = _markov_objective_value(a, current_mu, nu, theta)
+    current = _markov_objective_value(a, current_mu, log_k_theta, log_k_nu)
     if better(best_sampled, current) == best_sampled and best_mu.d == nu.d:
         # Prefer the sampled best as a starting point when it lives on the full class.
         sampled_rows = kernel(best_mu).rows
@@ -461,7 +502,7 @@ def _search_markov(
                 trial_rows[i, j] *= factor
                 trial_rows[i] /= trial_rows[i].sum()
                 mu_try = PairMeasure(_stationary_law(trial_rows, states)[:, None] * trial_rows)
-                val = _markov_objective_value(a, mu_try, nu, theta)
+                val = _markov_objective_value(a, mu_try, log_k_theta, log_k_nu)
                 if better(val, current) == val and val != current:
                     current, rows = val, trial_rows
                     improved = True

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .distributions import Alpha, Dist, _check_dims, _feasible_support, _renyi, abs_cont, rel_entropy
+from .distributions import Alpha, Dist, _abs_cont, _check_dims, _feasible_support, _rel_entropy, _renyi
 from .errors import InfeasiblePointError, InputValidationError
 from .extreal import POS_INF, ExtReal
 from .numerics import checked_array, logsumexp
@@ -115,10 +115,11 @@ def objective(alpha: Alpha, mu: Dist, nu: Dist, theta: Dist) -> ExtReal:
     ``inf - inf`` raises instead of returning NaN.
     """
     _check_dims(mu, nu, theta)
-    a = alpha.value
-    d_theta = rel_entropy(mu, theta)
-    d_nu = rel_entropy(mu, nu)
-    return d_theta.scale(1.0 / a) - d_nu.scale(1.0 / (a - 1.0))
+    return _objective(alpha.value, mu, nu, theta)
+
+
+def _objective(a: float, mu: Dist, nu: Dist, theta: Dist) -> ExtReal:
+    return _rel_entropy(mu, theta).scale(1.0 / a) - _rel_entropy(mu, nu).scale(1.0 / (a - 1.0))
 
 
 def _geometric_mixture(a: float, nu: Dist, theta: Dist) -> Dist | None:
@@ -160,21 +161,21 @@ def solve_variational(alpha: Alpha, nu: Dist, theta: Dist) -> VarSolution:
     _check_dims(nu, theta)
     a = alpha.value
     regime = alpha.regime
-    if a > 1 and not abs_cont(nu, theta):
+    if a > 1 and not _abs_cont(nu, theta):
         witness = int(np.flatnonzero(nu.support & ~theta.support)[0])
         mu = _point_mass(nu.d, witness)
-        return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, objective(alpha, mu, nu, theta)))
-    if a < 0 and not abs_cont(theta, nu):
+        return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, _objective(a, mu, nu, theta)))
+    if a < 0 and not _abs_cont(theta, nu):
         witness = int(np.flatnonzero(theta.support & ~nu.support)[0])
         mu = _point_mass(nu.d, witness)
-        return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, objective(alpha, mu, nu, theta)))
+        return VarSolution(POS_INF, mu, regime, _attainment_residual(POS_INF, _objective(a, mu, nu, theta)))
     mu_star = _geometric_mixture(a, nu, theta)
     value = _renyi(a, nu.weights, theta.weights)
     if mu_star is None:
         # Disjoint supports in the inf regime: the feasible set is empty and
         # the infimum over it is +inf by convention, with nothing attaining it.
         return VarSolution(value, None, regime, 0.0)
-    return VarSolution(value, mu_star, regime, _attainment_residual(value, objective(alpha, mu_star, nu, theta)))
+    return VarSolution(value, mu_star, regime, _attainment_residual(value, _objective(a, mu_star, nu, theta)))
 
 
 def _signed_gap(upper: ExtReal, lower: ExtReal) -> float:
@@ -198,7 +199,7 @@ def certify_inequality(
     if (mu.support & ~_feasible_support(regime, nu.support, theta.support)).any():
         raise InfeasiblePointError(f"candidate violates the support constraint of regime {regime}")
     value = _renyi(alpha.value, nu.weights, theta.weights)
-    candidate = objective(alpha, mu, nu, theta)
+    candidate = _objective(alpha.value, mu, nu, theta)
     if regime == "alpha_in_01":
         slack = _signed_gap(candidate, value)
     else:
@@ -275,7 +276,7 @@ def truncated_optimizer(
         raise InputValidationError("the truncated family is for positive orders; swap arguments for a < 0")
     if cap <= 0 or not math.isfinite(cap):
         raise InputValidationError("cap must be a positive finite number")
-    if a > 1 and not abs_cont(nu, theta):
+    if a > 1 and not _abs_cont(nu, theta):
         raise InputValidationError("for orders above 1 the truncated family needs nu << theta")
     eta = reference if reference is not None else Dist(0.5 * (nu.weights + theta.weights))
     log_ratio = _log_density_ratio(a, nu, theta, eta)
@@ -321,7 +322,7 @@ def dv_solve(g: BoundedFn, mu: Dist) -> VarSolution:
     """
     _check_dims(g, mu)
     tilt, value = _tilt(g, 1.0, mu)
-    attained = float(tilt.weights @ g.values) - rel_entropy(tilt, mu).raw
+    attained = float(tilt.weights @ g.values) - _rel_entropy(tilt, mu).raw
     return VarSolution(ExtReal.finite(value), tilt, None, abs(value - attained))
 
 

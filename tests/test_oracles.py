@@ -11,11 +11,15 @@ from renyivar import (
     ExtReal,
     IIDVariationalProblem,
     InputValidationError,
+    InvalidDistributionError,
     MarkovVariationalProblem,
     PairMeasure,
     easyvar_finite_n_oracle,
     easyvar_oracle_report,
+    kernel,
+    oracles,
     random_search_extremum,
+    rel_entropy,
     rel_entropy_rate,
     rel_entropy_rate_oracle,
     renyi_div,
@@ -25,7 +29,7 @@ from renyivar import (
     truncation_caps,
     varadhan_growth,
 )
-from conftest import random_pair
+from conftest import ALPHA_GRID, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
 TWO_CYCLE = PairMeasure([[0.0, 0.5], [0.5, 0.0]])
@@ -227,6 +231,96 @@ class TestRandomSearch:
         nu = Dist([0.4, 0.6])
         with pytest.raises(InputValidationError):
             random_search_extremum(IIDVariationalProblem(Alpha(2.0), nu, nu), trials=0)
+
+
+def _reference_iid(a: float, weights: np.ndarray, nu: Dist, theta: Dist) -> tuple[float, np.ndarray]:
+    """The scoring route the search took before it scored plain arrays."""
+    mu = Dist(weights)
+    return rel_entropy(mu, theta).raw / a - rel_entropy(mu, nu).raw / (a - 1.0), mu.weights
+
+
+def _reference_markov(a: float, mu: PairMeasure, nu: PairMeasure, theta: PairMeasure) -> float:
+    return rel_entropy_rate(mu, theta).raw / a - rel_entropy_rate(mu, nu).raw / (a - 1.0)
+
+
+def _sparse_weights(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Gamma weights with zeros and subnormal entries, never all zero."""
+    w = rng.gamma(float(rng.choice((0.3, 1.0, 3.0))), size=d)
+    w[rng.random(d) < 0.3] = 0.0
+    w[rng.random(d) < 0.1] *= 1e-310
+    if not w.any():
+        w[rng.integers(d)] = 1.0
+    return w
+
+
+def _block_pair(rng: np.random.Generator, d: int, n_blocks: int) -> tuple[np.ndarray, PairMeasure]:
+    """A reducible edge pattern of irreducible blocks, and a stationary mixture over its blocks."""
+    mask = np.zeros((d, d), dtype=bool)
+    cuts = np.sort(rng.choice(np.arange(1, d), size=n_blocks - 1, replace=False))
+    entries = np.zeros((d, d))
+    for block in np.split(rng.permutation(d), cuts):
+        mask[block, np.roll(block, -1)] = True  # a cycle through every state of the block
+        mask[np.ix_(block, block)] |= rng.random((block.size, block.size)) < 0.3
+        sub = np.zeros_like(mask)
+        sub[np.ix_(block, block)] = mask[np.ix_(block, block)]
+        entries += rng.gamma(1.0) * random_pair_on(rng, sub).entries
+    return mask, PairMeasure(entries)
+
+
+class TestCandidateScorers:
+    """The searches score candidates on plain arrays with the floats of Dist + rel_entropy."""
+
+    def test_iid_scorer_matches_the_dist_route_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        infinite = 0
+        for _ in range(2000):
+            d = int(rng.integers(1, 71))  # past the 8-element blocks of numpy's pairwise sums
+            nu, theta = Dist(_sparse_weights(rng, d)), Dist(_sparse_weights(rng, d))
+            weights = _sparse_weights(rng, d)
+            a = float(rng.choice(ALPHA_GRID))
+            want, want_w = _reference_iid(a, weights, nu, theta)
+            got, got_w = oracles._iid_candidate(a, weights, theta.log_weights, nu.log_weights)
+            assert got.hex() == want.hex()
+            assert got_w.tobytes() == want_w.tobytes() == (weights / weights.sum()).tobytes()
+            infinite += not math.isfinite(want)
+        assert infinite > 200  # candidates off a reference's support are covered
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, -0.1], [0.5, math.nan], [math.inf, 1.0], [0.0, 0.0], [-math.inf, 1.0]]
+    )
+    def test_iid_scorer_keeps_the_dist_check(self, weights):
+        nu = Dist([0.5, 0.5])
+        with pytest.raises(InvalidDistributionError):
+            oracles._iid_candidate(2.0, np.array(weights), nu.log_weights, nu.log_weights)
+
+    def test_markov_scorer_matches_the_rate_route_bit_for_bit(self):
+        rng = np.random.default_rng(2025)
+        scored = infinite = 0
+        while scored < 400:
+            d = int(rng.integers(2, 9))
+            if scored % 2:
+                nu, theta = random_pair(rng, d), random_pair(rng, d)
+                edge_mask = np.ones((d, d), dtype=bool)
+            else:
+                mask_nu, nu = _block_pair(rng, d, int(rng.integers(1, d + 1)))
+                mask_theta, theta = _block_pair(rng, d, int(rng.integers(1, d + 1)))
+                edge_mask = mask_nu | mask_theta
+            with np.errstate(divide="ignore"):
+                log_k_theta, log_k_nu = np.log(kernel(theta).rows), np.log(kernel(nu).rows)
+            pool = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            mu = oracles._random_stationary(rng, edge_mask, float(rng.choice((0.3, 1.0, 3.0))), pool)
+            if mu is None:
+                continue
+            a = float(rng.choice(ALPHA_GRID))
+            want = _reference_markov(a, mu, nu, theta)
+            got = oracles._markov_objective_value(a, mu, log_k_theta, log_k_nu)
+            assert got.hex() == want.hex()
+            scored += 1
+            infinite += not math.isfinite(want)
+        assert infinite > 40
+
+    def test_candidate_scoring_uses_no_closed_form_entropy(self):
+        assert not hasattr(oracles, "rel_entropy")
 
 
 _D2, _D3 = Dist([0.5, 0.5]), Dist([0.2, 0.3, 0.5])
