@@ -35,7 +35,7 @@ the pair measure are identically zero, and no rate formula ever reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -108,12 +108,10 @@ class PairMeasure:
 
     @cached_property
     def _kernel(self) -> "Kernel":
-        marginal = self.state_marginal
-        rows = np.zeros_like(self.entries)
-        on = marginal > 0
-        rows[on] = self.entries[on] / marginal[on, None]
+        marginal = self.state_marginal[:, None]
+        rows = np.divide(self.entries, marginal, out=np.zeros_like(self.entries), where=marginal > 0)
         rows.flags.writeable = False
-        return Kernel(rows=rows, support_states=support(self))
+        return Kernel(rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +124,18 @@ class Kernel:
     """
 
     rows: np.ndarray
-    support_states: tuple[int, ...]
+    support_states: tuple[int, ...] = field(init=False)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``support_states`` is unset: the states with a
+        # nonzero row, which are those of positive marginal as :func:`support`
+        # lists them (a row on the support holds an entry of at least about
+        # 1/d), built on first access and kept.
+        if name != "support_states":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        states = tuple(np.flatnonzero(self.rows.any(axis=1)).tolist())
+        object.__setattr__(self, name, states)
+        return states
 
 
 def support(nu: PairMeasure) -> tuple[int, ...]:

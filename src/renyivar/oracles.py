@@ -7,7 +7,8 @@ feasible sets -- so agreement between the two routes is meaningful evidence
 rather than a tautology.  What they share with the closed forms is the
 input side: ``Dist`` and ``PairMeasure`` with their checks
 (``_check_dims``, ``_feasible_support``, ``abs_cont_pair``), the ``kernel``
-accessor, class finding (``classes``) and the log-domain primitives of
+accessor, class finding (``_classes_of``, behind ``classes``), the class
+gather ``_block`` and the log-domain primitives of
 :mod:`renyivar.numerics`; and the claims they are held against, which come
 from ``renyi_div``, ``renyi_rate``, ``rel_entropy_rate`` and
 ``growth_rate_from_log``.  The path recursions and the scoring of every
@@ -33,7 +34,7 @@ from .errors import DimensionMismatchError, InputValidationError, InvalidDistrib
 from .extreal import ExtReal
 from .markov import PairMeasure, abs_cont_pair, kernel, rel_entropy_rate, renyi_rate
 from .numerics import checked_array, log_vecmat, logsumexp
-from .spectral import NonnegMatrix, classes, growth_rate_from_log
+from .spectral import _block, _classes_of, growth_rate_from_log
 
 __all__ = [
     "ConvergenceReport",
@@ -233,6 +234,9 @@ def easyvar_oracle_report(
 # Random search over the feasible sets
 # ---------------------------------------------------------------------------
 
+_GAMMA_SHAPES = (1.0, 0.3, 3.0)  # trial t draws its weights with shape _GAMMA_SHAPES[t % 3]
+_SCORE_TERMS = 2**16  # floats in one block of iid candidates (one row of d letters at the least)
+
 
 @dataclass(frozen=True)
 class IIDVariationalProblem:
@@ -323,6 +327,33 @@ def _iid_candidate(
     return _objective(a, mask, masses, np.log(masses), log_theta, log_nu), w
 
 
+def _iid_scores(
+    a: float, weights: np.ndarray, idx: np.ndarray, log_theta: np.ndarray, log_nu: np.ndarray
+) -> tuple[list[float], np.ndarray]:
+    """:func:`_iid_candidate` of every row of ``weights``, in one row-wise pass.
+
+    Rows are finite and nonnegative, and zero off the letters ``idx``.  A row
+    whose normalised support is exactly ``idx`` goes through the same IEEE
+    operations on the same layout: the full row is summed, and its masses
+    are gathered into a C-contiguous block (a strided gather would change
+    the pairwise order of the sums from eight letters on).  Any other row,
+    with a zero or underflowed mass or a total out of range, goes through
+    :func:`_iid_candidate` itself.  Returns the objectives and the rows
+    normalised.
+    """
+    totals = np.add.reduce(weights, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only the rows scored again below
+        w = weights / totals[:, None]
+        masses = w.take(idx, axis=1)
+        logs = np.log(masses)
+        d_theta = np.add.reduce(masses * (logs - log_theta[idx]), axis=1)
+        d_nu = np.add.reduce(masses * (logs - log_nu[idx]), axis=1)
+        vals = (d_theta / a - d_nu / (a - 1.0)).tolist()
+    for r in np.flatnonzero(~(masses > 0).all(axis=1)):
+        vals[r], w[r] = _iid_candidate(a, weights[r], log_theta, log_nu)
+    return vals, w
+
+
 def _search_iid(
     problem: IIDVariationalProblem, trials: int, seed: int, hill_steps: int
 ) -> tuple[ExtReal, float, float]:
@@ -337,38 +368,59 @@ def _search_iid(
     better = max if regime != "alpha_in_01" else min
     log_theta, log_nu = theta.log_weights, nu.log_weights
     rng = np.random.default_rng(seed)
-    shapes = (1.0, 0.3, 3.0)
+    block = max(1, _SCORE_TERMS // nu.d)
     best_val: float | None = None
     best_weights: np.ndarray | None = None
-    for t in range(trials):
-        chosen = idx
-        if idx.size > 1 and rng.random() < 0.3:
-            size = int(rng.integers(1, idx.size + 1))
-            chosen = rng.choice(idx, size=size, replace=False)
-        weights = np.zeros(nu.d)
-        weights[chosen] = rng.gamma(shapes[t % len(shapes)], size=chosen.size)
-        if weights.sum() <= 0:
-            continue
-        val, normalised = _iid_candidate(a, weights, log_theta, log_nu)
-        if best_val is None or better(val, best_val) == val:
-            best_val, best_weights = val, normalised
+    for start in range(0, trials, block):
+        # Draw a block of trials, score its full-support ones together, then
+        # take the best in trial order.
+        n = min(block, trials - start)
+        full = np.zeros((n, nu.d))
+        found: list[tuple[float, np.ndarray] | None] = [None] * n
+        for r in range(n):
+            shape = _GAMMA_SHAPES[(start + r) % len(_GAMMA_SHAPES)]
+            if idx.size > 1 and rng.random() < 0.3:
+                size = int(rng.integers(1, idx.size + 1))
+                chosen = rng.choice(idx, size=size, replace=False)
+                weights = np.zeros(nu.d)
+                weights[chosen] = rng.gamma(shape, size=chosen.size)
+                if weights.sum() > 0:
+                    found[r] = _iid_candidate(a, weights, log_theta, log_nu)
+            else:
+                full[r, idx] = rng.gamma(shape, size=idx.size)
+        scored = np.flatnonzero(full.any(axis=1))  # a trial whose draws are all zero is skipped
+        vals, normalised = _iid_scores(a, full[scored], idx, log_theta, log_nu)
+        for r, val, w in zip(scored.tolist(), vals, normalised):
+            found[r] = (val, w)
+        for candidate in found:
+            if candidate is not None and (best_val is None or better(candidate[0], best_val) == candidate[0]):
+                best_val, best_weights = candidate
     assert best_val is not None and best_weights is not None
     best_sampled = best_val
     # Coordinate tilts with step halving, restricted to the full feasible support.
     weights = np.zeros(nu.d)
     weights[idx] = np.maximum(best_weights[idx], 1e-12)
     current, _ = _iid_candidate(a, weights, log_theta, log_nu)
+    moves = np.repeat(idx, 2)  # each letter tilted up, then down
     step = 0.5
     for _ in range(hill_steps):
         improved = False
-        for x in idx:
-            for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                trial_w = weights.copy()
-                trial_w[x] *= factor
-                val, normalised = _iid_candidate(a, trial_w, log_theta, log_nu)
+        factors = np.array((1.0 + step, 1.0 / (1.0 + step)) * idx.size)
+        # Score the sweep's moves from the same weights; after the first
+        # improving one, score the moves after it from the new weights.
+        pos = 0
+        while pos < moves.size:
+            n = min(block, moves.size - pos)
+            tilted = np.repeat(weights[None, :], n, axis=0)
+            tilted[np.arange(n), moves[pos:pos + n]] *= factors[pos:pos + n]
+            vals, normalised = _iid_scores(a, tilted, idx, log_theta, log_nu)
+            pos += n
+            for k, val in enumerate(vals):
                 if better(val, current) == val and val != current:
-                    current, weights = val, normalised
+                    current, weights = val, normalised[k]
                     improved = True
+                    pos += k + 1 - n
+                    break
         if not improved:
             step *= 0.5
             if step < 1e-12:
@@ -383,7 +435,7 @@ def _stationary_law(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     normalization, then polishes with iterative refinement; power iteration
     is avoided because slowly mixing kernels can stall it far from balance.
     """
-    block = rows[np.ix_(states, states)]
+    block = _block(rows, states)
     n = states.size
     system = np.eye(n) - block.T
     system[0] = 1.0
@@ -402,16 +454,39 @@ def _stationary_law(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     return full
 
 
+def _random_rows(
+    rng: np.random.Generator, sub_mask: np.ndarray, states: np.ndarray, shape: float
+) -> np.ndarray | None:
+    """Random kernel rows on a class's edges: gamma weights, each row normalised.
+
+    The edges are drawn in one call, row by row in state order, which is the
+    stream of one call per row.  ``None`` if a row's draws are all zero; the
+    generator is then rewound and draws again only up to that row, where a
+    row-by-row loop would have stopped.
+    """
+    rows = np.zeros(sub_mask.shape)
+    src, dst = np.nonzero(_block(sub_mask, states))
+    saved = rng.bit_generator.state
+    rows[states[src], states[dst]] = rng.gamma(shape, size=src.size)
+    totals = rows.sum(axis=1)[states]
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        rng.bit_generator.state = saved
+        rng.gamma(shape, size=int(np.searchsorted(src, empty[0], side="right")))
+        return None
+    rows[states] /= totals[:, None]
+    return rows
+
+
 def _random_stationary(
     rng: np.random.Generator, edge_mask: np.ndarray, shape: float, state_pool: np.ndarray
 ) -> PairMeasure | None:
     """A random stationary pair measure on a random cyclic subgraph of the mask."""
     d = edge_mask.shape[0]
-    sub_mask = np.zeros_like(edge_mask)
-    sub_mask[np.ix_(state_pool, state_pool)] = edge_mask[np.ix_(state_pool, state_pool)]
-    pattern = NonnegMatrix(sub_mask.astype(float))
-    decomposition = classes(pattern)
-    cyclic = decomposition.cyclic_classes()
+    in_pool = np.zeros(d, dtype=bool)
+    in_pool[state_pool] = True
+    sub_mask = edge_mask & in_pool[:, None] & in_pool
+    cyclic = _classes_of(sub_mask).cyclic_classes()
     if not cyclic:
         return None
     picked = [cyclic[int(rng.integers(len(cyclic)))]] if rng.random() < 0.7 else cyclic
@@ -420,14 +495,9 @@ def _random_stationary(
     mix /= mix.sum()
     for lam, cls in zip(mix, picked):
         states = np.asarray(cls, dtype=int)
-        rows = np.zeros((d, d))
-        for i in states:
-            outs = np.flatnonzero(sub_mask[i][states])
-            rows[i, states[outs]] = rng.gamma(shape, size=outs.size)
-            total = rows[i].sum()
-            if total <= 0:
-                return None
-            rows[i] /= total
+        rows = _random_rows(rng, sub_mask, states, shape)
+        if rows is None:
+            return None
         pi = _stationary_law(rows, states)
         entries += lam * (pi[:, None] * rows)
     return PairMeasure(entries)
@@ -448,8 +518,7 @@ def _search_markov(
     regime = problem.alpha.regime
     nu, theta = problem.nu, problem.theta
     edge_mask = _feasible_support(regime, nu.edge_support, theta.edge_support)
-    pattern = NonnegMatrix(edge_mask.astype(float))
-    all_cyclic = classes(pattern).cyclic_classes()
+    all_cyclic = _classes_of(edge_mask).cyclic_classes()
     if not all_cyclic:
         raise InputValidationError("the descriptor admits no stationary feasible candidate")
     target = renyi_rate(problem.alpha, nu, theta)
@@ -458,7 +527,6 @@ def _search_markov(
         log_k_theta, log_k_nu = np.log(kernel(theta).rows), np.log(kernel(nu).rows)
     rng = np.random.default_rng(seed)
     all_states = np.arange(nu.d)
-    shapes = (1.0, 0.3, 3.0)
     best_val: float | None = None
     best_mu: PairMeasure | None = None
     for t in range(trials):
@@ -466,9 +534,10 @@ def _search_markov(
         if nu.d > 1 and rng.random() < 0.5:
             size = int(rng.integers(1, nu.d + 1))
             pool = np.sort(rng.choice(all_states, size=size, replace=False))
-        candidate = _random_stationary(rng, edge_mask, shapes[t % len(shapes)], pool)
+        shape = _GAMMA_SHAPES[t % len(_GAMMA_SHAPES)]
+        candidate = _random_stationary(rng, edge_mask, shape, pool)
         if candidate is None:
-            candidate = _random_stationary(rng, edge_mask, shapes[t % len(shapes)], all_states)
+            candidate = _random_stationary(rng, edge_mask, shape, all_states)
             if candidate is None:
                 continue
         val = _markov_objective_value(a, candidate, log_k_theta, log_k_nu)
@@ -528,6 +597,12 @@ def random_search_extremum(
     stationary laws), then the best candidate is refined by coordinate tilts
     with step halving.  The report records whether anything beat the closed
     form beyond ``tol``.
+
+    The seed fixes every random draw and their order, so a search is
+    reproducible.  The iid search scores its full-support candidates and
+    each sweep's tilts in blocks, and the Markov search draws each class's
+    kernel rows in one call; neither changes a candidate or a float of what
+    scoring one candidate at a time, row by row, would give.
     """
     if trials < 1:
         raise InputValidationError("need at least one trial")

@@ -13,7 +13,9 @@ from renyivar import (
     InputValidationError,
     InvalidDistributionError,
     MarkovVariationalProblem,
+    NonnegMatrix,
     PairMeasure,
+    classes,
     easyvar_finite_n_oracle,
     easyvar_oracle_report,
     kernel,
@@ -29,7 +31,7 @@ from renyivar import (
     truncation_caps,
     varadhan_growth,
 )
-from conftest import ALPHA_GRID, random_pair, random_pair_on
+from conftest import ALPHA_GRID, random_dist, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
 TWO_CYCLE = PairMeasure([[0.0, 0.5], [0.5, 0.0]])
@@ -321,6 +323,315 @@ class TestCandidateScorers:
 
     def test_candidate_scoring_uses_no_closed_form_entropy(self):
         assert not hasattr(oracles, "rel_entropy")
+
+
+def _support_rows(rng: np.random.Generator, d: int, idx: np.ndarray, k: int) -> np.ndarray:
+    """``k`` nonzero rows of ``_sparse_weights`` on the letters ``idx``, zero elsewhere."""
+    rows = np.zeros((k, d))
+    for r in range(k):
+        rows[r, idx] = _sparse_weights(rng, idx.size)
+    return rows
+
+
+class TestBatchedIidScorer:
+    """``_iid_scores`` gives each row the floats of ``_iid_candidate``."""
+
+    def test_rows_match_the_one_candidate_scorer_bit_for_bit(self):
+        rng = np.random.default_rng(2026)
+        fallbacks = 0
+        for d in range(1, 71):  # past the 8-element blocks of numpy's pairwise sums
+            for _ in range(3):
+                nu, theta = Dist(_sparse_weights(rng, d)), Dist(_sparse_weights(rng, d))
+                idx = np.flatnonzero(rng.random(d) < 0.8)  # gaps: the gather is not a slice
+                if idx.size == 0:
+                    idx = np.array([int(rng.integers(d))])
+                rows = _support_rows(rng, d, idx, int(rng.integers(1, 12)))
+                a = float(rng.choice(ALPHA_GRID))
+                vals, normalised = oracles._iid_scores(a, rows, idx, theta.log_weights, nu.log_weights)
+                assert len(vals) == rows.shape[0] and normalised.shape == rows.shape
+                for r, weights in enumerate(rows):
+                    want, want_w = oracles._iid_candidate(a, weights, theta.log_weights, nu.log_weights)
+                    assert vals[r].hex() == want.hex()
+                    assert normalised[r].tobytes() == want_w.tobytes()
+                    fallbacks += not (weights[idx] / weights.sum() > 0).all()
+        assert fallbacks > 100  # zero and underflowed masses are covered
+
+    def test_a_block_scores_like_its_rows_alone(self):
+        rng = np.random.default_rng(7)
+        nu, theta = random_dist(rng, 11), random_dist(rng, 11)
+        idx = np.array([0, 2, 3, 5, 6, 7, 8, 9, 10])
+        rows = _support_rows(rng, 11, idx, 40)
+        vals, normalised = oracles._iid_scores(2.0, rows, idx, theta.log_weights, nu.log_weights)
+        for r in range(rows.shape[0]):
+            one, one_w = oracles._iid_scores(2.0, rows[r:r + 1], idx, theta.log_weights, nu.log_weights)
+            assert one[0].hex() == vals[r].hex() and one_w.tobytes() == normalised[r].tobytes()
+
+    def test_a_zero_row_keeps_the_dist_check(self):
+        nu = Dist([0.5, 0.5])
+        rows = np.array([[0.3, 0.7], [0.0, 0.0]])
+        with pytest.raises(InvalidDistributionError):
+            oracles._iid_scores(2.0, rows, np.array([0, 1]), nu.log_weights, nu.log_weights)
+
+
+# Frozen copies of the searches as they scored one candidate at a time, built
+# every Markov candidate row by row and found classes through NonnegMatrix.
+# The batched searches must reproduce them bit for bit.
+
+def _frozen_search_iid(problem, trials, seed, hill_steps):
+    a = problem.alpha.value
+    regime = problem.alpha.regime
+    nu, theta = problem.nu, problem.theta
+    mask = oracles._feasible_support(regime, nu.support, theta.support)
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise InputValidationError("the feasible set of the descriptor is empty")
+    target = renyi_div(problem.alpha, nu, theta)
+    better = max if regime != "alpha_in_01" else min
+    log_theta, log_nu = theta.log_weights, nu.log_weights
+    rng = np.random.default_rng(seed)
+    shapes = oracles._GAMMA_SHAPES
+    best_val = best_weights = None
+    for t in range(trials):
+        chosen = idx
+        if idx.size > 1 and rng.random() < 0.3:
+            size = int(rng.integers(1, idx.size + 1))
+            chosen = rng.choice(idx, size=size, replace=False)
+        weights = np.zeros(nu.d)
+        weights[chosen] = rng.gamma(shapes[t % len(shapes)], size=chosen.size)
+        if weights.sum() <= 0:
+            continue
+        val, normalised = oracles._iid_candidate(a, weights, log_theta, log_nu)
+        if best_val is None or better(val, best_val) == val:
+            best_val, best_weights = val, normalised
+    best_sampled = best_val
+    weights = np.zeros(nu.d)
+    weights[idx] = np.maximum(best_weights[idx], 1e-12)
+    current, _ = oracles._iid_candidate(a, weights, log_theta, log_nu)
+    step = 0.5
+    for _ in range(hill_steps):
+        improved = False
+        for x in idx:
+            for factor in (1.0 + step, 1.0 / (1.0 + step)):
+                trial_w = weights.copy()
+                trial_w[x] *= factor
+                val, normalised = oracles._iid_candidate(a, trial_w, log_theta, log_nu)
+                if better(val, current) == val and val != current:
+                    current, weights = val, normalised
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return target, best_sampled, better(best_sampled, current)
+
+
+def _frozen_stationary_law(rows, states):
+    block = rows[np.ix_(states, states)]
+    n = states.size
+    system = np.eye(n) - block.T
+    system[0] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    for _ in range(3):
+        residual = rhs - system @ pi
+        if float(np.max(np.abs(residual))) <= 1e-16:
+            break
+        pi += np.linalg.solve(system, residual)
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    full = np.zeros(rows.shape[0])
+    full[states] = pi
+    return full
+
+
+def _frozen_random_stationary(rng, edge_mask, shape, state_pool):
+    d = edge_mask.shape[0]
+    sub_mask = np.zeros_like(edge_mask)
+    sub_mask[np.ix_(state_pool, state_pool)] = edge_mask[np.ix_(state_pool, state_pool)]
+    cyclic = classes(NonnegMatrix(sub_mask.astype(float))).cyclic_classes()
+    if not cyclic:
+        return None
+    picked = [cyclic[int(rng.integers(len(cyclic)))]] if rng.random() < 0.7 else cyclic
+    entries = np.zeros((d, d))
+    mix = rng.gamma(1.0, size=len(picked))
+    mix /= mix.sum()
+    for lam, cls in zip(mix, picked):
+        states = np.asarray(cls, dtype=int)
+        rows = np.zeros((d, d))
+        for i in states:
+            outs = np.flatnonzero(sub_mask[i][states])
+            rows[i, states[outs]] = rng.gamma(shape, size=outs.size)
+            total = rows[i].sum()
+            if total <= 0:
+                return None
+            rows[i] /= total
+        pi = _frozen_stationary_law(rows, states)
+        entries += lam * (pi[:, None] * rows)
+    return PairMeasure(entries)
+
+
+def _frozen_search_markov(problem, trials, seed, hill_steps):
+    a = problem.alpha.value
+    regime = problem.alpha.regime
+    nu, theta = problem.nu, problem.theta
+    edge_mask = oracles._feasible_support(regime, nu.edge_support, theta.edge_support)
+    all_cyclic = classes(NonnegMatrix(edge_mask.astype(float))).cyclic_classes()
+    if not all_cyclic:
+        raise InputValidationError("the descriptor admits no stationary feasible candidate")
+    target = renyi_rate(problem.alpha, nu, theta)
+    better = max if regime != "alpha_in_01" else min
+    with np.errstate(divide="ignore"):
+        log_k_theta, log_k_nu = np.log(kernel(theta).rows), np.log(kernel(nu).rows)
+    score = oracles._markov_objective_value
+    rng = np.random.default_rng(seed)
+    all_states = np.arange(nu.d)
+    shapes = oracles._GAMMA_SHAPES
+    best_val = best_mu = None
+    for t in range(trials):
+        pool = all_states
+        if nu.d > 1 and rng.random() < 0.5:
+            size = int(rng.integers(1, nu.d + 1))
+            pool = np.sort(rng.choice(all_states, size=size, replace=False))
+        candidate = _frozen_random_stationary(rng, edge_mask, shapes[t % len(shapes)], pool)
+        if candidate is None:
+            candidate = _frozen_random_stationary(rng, edge_mask, shapes[t % len(shapes)], all_states)
+            if candidate is None:
+                continue
+        val = score(a, candidate, log_k_theta, log_k_nu)
+        if best_val is None or better(val, best_val) == val:
+            best_val, best_mu = val, candidate
+    best_sampled = best_val
+    if best_val is None:  # every draw failed: the batched search fails its assertion too
+        raise AssertionError
+    cls = max(all_cyclic, key=len)
+    states = np.asarray(cls, dtype=int)
+    rows = np.zeros((nu.d, nu.d))
+    for i in states:
+        outs = np.flatnonzero(edge_mask[i][states])
+        rows[i, states[outs]] = 1.0 / outs.size
+    current_mu = PairMeasure(_frozen_stationary_law(rows, states)[:, None] * rows)
+    current = score(a, current_mu, log_k_theta, log_k_nu)
+    if better(best_sampled, current) == best_sampled and best_mu.d == nu.d:
+        sampled_rows = kernel(best_mu).rows
+        if np.array_equal(sampled_rows > 0, rows > 0):
+            rows = sampled_rows.copy()
+            current = best_sampled
+    step = 0.5
+    edges = [(int(i), int(j)) for i in states for j in states if edge_mask[i, j]]
+    for _ in range(hill_steps):
+        improved = False
+        for (i, j) in edges:
+            for factor in (1.0 + step, 1.0 / (1.0 + step)):
+                trial_rows = rows.copy()
+                trial_rows[i, j] *= factor
+                trial_rows[i] /= trial_rows[i].sum()
+                mu_try = PairMeasure(_frozen_stationary_law(trial_rows, states)[:, None] * trial_rows)
+                val = score(a, mu_try, log_k_theta, log_k_nu)
+                if better(val, current) == val and val != current:
+                    current, rows = val, trial_rows
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-10:
+                break
+    return target, best_sampled, better(best_sampled, current)
+
+
+def _search_outcome(search, problem, trials, seed, hill_steps):
+    """The hex of a search's floats, or the type of what it raised."""
+    try:
+        target, sampled, refined = search(problem, trials, seed, hill_steps)
+    except Exception as exc:  # the empty feasible set, or a singular solve at tiny gamma shapes
+        return type(exc).__name__
+    return repr(target), sampled.hex(), refined.hex()
+
+
+def _iid_problems(rng: np.random.Generator, count: int):
+    for k in range(count):
+        d = int(rng.integers(1, 13)) if k % 4 else int(rng.integers(13, 41))
+        nu, theta = Dist(_sparse_weights(rng, d)), Dist(_sparse_weights(rng, d))
+        yield IIDVariationalProblem(Alpha(float(rng.choice(ALPHA_GRID))), nu, theta)
+
+
+def _markov_problems(rng: np.random.Generator, count: int):
+    for k in range(count):
+        d = int(rng.integers(2, 7))
+        if k % 2:
+            nu, theta = random_pair(rng, d), random_pair(rng, d)
+        else:
+            nu = _block_pair(rng, d, int(rng.integers(1, d + 1)))[1]
+            theta = _block_pair(rng, d, int(rng.integers(1, d + 1)))[1]
+        yield MarkovVariationalProblem(Alpha(float(rng.choice(ALPHA_GRID))), nu, theta)
+
+
+class TestSearchesMatchTheFrozenLoops:
+    """Batching changes no draw and no float of either search."""
+
+    @pytest.mark.parametrize("terms", [oracles._SCORE_TERMS, 40, 1])
+    def test_iid_search(self, monkeypatch, terms):
+        monkeypatch.setattr(oracles, "_SCORE_TERMS", terms)  # small blocks split trials and sweeps
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for k, problem in enumerate(_iid_problems(rng, 200 if terms == oracles._SCORE_TERMS else 40)):
+            args = (problem, int(rng.integers(1, 120)), k, int(rng.integers(0, 25)))
+            got = _search_outcome(oracles._search_iid, *args)
+            assert got == _search_outcome(_frozen_search_iid, *args)
+            outcomes.add(type(got))
+        assert outcomes == {tuple, str}  # empty feasible sets are covered
+
+    def test_markov_search(self):
+        rng = np.random.default_rng(20)
+        scored = 0
+        for k, problem in enumerate(_markov_problems(rng, 200)):
+            args = (problem, int(rng.integers(1, 25)), k, int(rng.integers(0, 4)))
+            got = _search_outcome(oracles._search_markov, *args)
+            assert got == _search_outcome(_frozen_search_markov, *args)
+            scored += type(got) is tuple
+        assert scored > 150
+
+    def test_markov_search_through_zero_rows(self, monkeypatch):
+        # Shapes this small draw exact zeros, so rows come out empty and the
+        # generator is rewound to the row where the frozen loop stopped.
+        monkeypatch.setattr(oracles, "_GAMMA_SHAPES", (0.0005, 0.002, 1.0))
+        rng = np.random.default_rng(21)
+        scored = 0
+        for k, problem in enumerate(_markov_problems(rng, 40)):
+            args = (problem, int(rng.integers(1, 25)), k, int(rng.integers(0, 3)))
+            with np.errstate(invalid="ignore"):  # the solve of a kernel made reducible by zero draws
+                got = _search_outcome(oracles._search_markov, *args)
+                assert got == _search_outcome(_frozen_search_markov, *args)
+            scored += type(got) is tuple
+        assert scored > 15
+
+    def test_random_rows_rewind_to_the_failing_row(self):
+        def built(build, seed, *args):
+            rng = np.random.default_rng(seed)
+            try:
+                mu = build(rng, *args)
+            except np.linalg.LinAlgError:  # a kernel made reducible by zero draws
+                return "singular", rng.bit_generator.state
+            return (None if mu is None else mu.entries.tobytes()), rng.bit_generator.state
+
+        rng = np.random.default_rng(22)
+        empty = kept = 0
+        for _ in range(300):
+            d = int(rng.integers(2, 8))
+            full = rng.random() < 0.5
+            mask = np.ones((d, d), dtype=bool) if full else _block_pair(rng, d, int(rng.integers(1, d + 1)))[0]
+            args = (mask, float(rng.choice((0.0005, 0.002, 0.3))), np.arange(d))  # every pattern has a class
+            seed = int(rng.integers(2**32))
+            got = built(oracles._random_stationary, seed, *args)
+            assert got == built(_frozen_random_stationary, seed, *args)  # same measure and generator state
+            empty += got[0] is None
+            kept += type(got[0]) is bytes
+        assert empty > 50 and kept > 50
+
+    def test_kernel_builds_no_support_tuple_until_asked(self):
+        mu = PairMeasure([[0.5, 0.0], [0.0, 0.5]])
+        k = kernel(mu)
+        assert "support_states" not in vars(k)
+        assert k.support_states == (0, 1)
 
 
 _D2, _D3 = Dist([0.5, 0.5]), Dist([0.2, 0.3, 0.5])
