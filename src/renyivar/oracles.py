@@ -342,7 +342,9 @@ def _iid_scores(
     normalised.
     """
     totals = np.add.reduce(weights, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only the rows scored again below
+    # Silent, as the Python floats of the objective are; a log 0 or a 0/0
+    # reaches only the rows scored again below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = weights / totals[:, None]
         masses = w.take(idx, axis=1)
         logs = np.log(masses)
@@ -414,13 +416,13 @@ def _search_iid(
             tilted = np.repeat(weights[None, :], n, axis=0)
             tilted[np.arange(n), moves[pos:pos + n]] *= factors[pos:pos + n]
             vals, normalised = _iid_scores(a, tilted, idx, log_theta, log_nu)
-            pos += n
-            for k, val in enumerate(vals):
-                if better(val, current) == val and val != current:
-                    current, weights = val, normalised[k]
-                    improved = True
-                    pos += k + 1 - n
-                    break
+            k = next((k for k, val in enumerate(vals) if better(val, current) == val and val != current), None)
+            if k is None:
+                pos += n
+            else:
+                current, weights = vals[k], normalised[k]
+                improved = True
+                pos += k + 1
         if not improved:
             step *= 0.5
             if step < 1e-12:

@@ -15,6 +15,7 @@ from renyivar import (
     MarkovVariationalProblem,
     NonnegMatrix,
     PairMeasure,
+    RenyiVarError,
     classes,
     easyvar_finite_n_oracle,
     easyvar_oracle_report,
@@ -31,7 +32,7 @@ from renyivar import (
     truncation_caps,
     varadhan_growth,
 )
-from conftest import ALPHA_GRID, random_dist, random_pair, random_pair_on
+from conftest import ALPHA_GRID, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
 TWO_CYCLE = PairMeasure([[0.0, 0.5], [0.5, 0.0]])
@@ -356,16 +357,6 @@ class TestBatchedIidScorer:
                     fallbacks += not (weights[idx] / weights.sum() > 0).all()
         assert fallbacks > 100  # zero and underflowed masses are covered
 
-    def test_a_block_scores_like_its_rows_alone(self):
-        rng = np.random.default_rng(7)
-        nu, theta = random_dist(rng, 11), random_dist(rng, 11)
-        idx = np.array([0, 2, 3, 5, 6, 7, 8, 9, 10])
-        rows = _support_rows(rng, 11, idx, 40)
-        vals, normalised = oracles._iid_scores(2.0, rows, idx, theta.log_weights, nu.log_weights)
-        for r in range(rows.shape[0]):
-            one, one_w = oracles._iid_scores(2.0, rows[r:r + 1], idx, theta.log_weights, nu.log_weights)
-            assert one[0].hex() == vals[r].hex() and one_w.tobytes() == normalised[r].tobytes()
-
     def test_a_zero_row_keeps_the_dist_check(self):
         nu = Dist([0.5, 0.5])
         rows = np.array([[0.3, 0.7], [0.0, 0.0]])
@@ -403,6 +394,7 @@ def _frozen_search_iid(problem, trials, seed, hill_steps):
         val, normalised = oracles._iid_candidate(a, weights, log_theta, log_nu)
         if best_val is None or better(val, best_val) == val:
             best_val, best_weights = val, normalised
+    assert best_val is not None and best_weights is not None
     best_sampled = best_val
     weights = np.zeros(nu.d)
     weights[idx] = np.maximum(best_weights[idx], 1e-12)
@@ -501,9 +493,8 @@ def _frozen_search_markov(problem, trials, seed, hill_steps):
         val = score(a, candidate, log_k_theta, log_k_nu)
         if best_val is None or better(val, best_val) == val:
             best_val, best_mu = val, candidate
+    assert best_val is not None and best_mu is not None
     best_sampled = best_val
-    if best_val is None:  # every draw failed: the batched search fails its assertion too
-        raise AssertionError
     cls = max(all_cyclic, key=len)
     states = np.asarray(cls, dtype=int)
     rows = np.zeros((nu.d, nu.d))
@@ -542,7 +533,9 @@ def _search_outcome(search, problem, trials, seed, hill_steps):
     """The hex of a search's floats, or the type of what it raised."""
     try:
         target, sampled, refined = search(problem, trials, seed, hill_steps)
-    except Exception as exc:  # the empty feasible set, or a singular solve at tiny gamma shapes
+    except (RenyiVarError, AssertionError, np.linalg.LinAlgError) as exc:
+        # an empty feasible set, no candidate drawn, or (at tiny gamma shapes)
+        # a kernel made reducible by zero draws
         return type(exc).__name__
     return repr(target), sampled.hex(), refined.hex()
 
