@@ -48,7 +48,7 @@ from .errors import (
     PathSpaceError,
 )
 from .extreal import POS_INF, ExtReal
-from .numerics import checked_array
+from .numerics import checked_array, memoised
 from .spectral import _growth
 
 __all__ = [
@@ -154,7 +154,7 @@ def kernel(nu: PairMeasure) -> Kernel:
 def abs_cont_pair(nu: PairMeasure, theta: PairMeasure) -> bool:
     """Edge-support containment: nu(i, j) > 0 implies theta(i, j) > 0."""
     _check_dims(nu, theta)
-    return bool(np.all(nu.entries[theta.entries == 0] == 0))
+    return not nu.entries[theta.entries == 0].any()
 
 
 def rel_entropy_rate(nu: PairMeasure, theta: PairMeasure) -> ExtReal:
@@ -195,13 +195,19 @@ def check_abs_cont_lift(nu: PairMeasure, theta: PairMeasure, n: int) -> bool:
     return abs_cont_pair(nu, theta) == path_level
 
 
+@memoised
 def _tilted_log_kernel(a: float, nu: PairMeasure, theta: PairMeasure) -> np.ndarray:
-    """Elementwise log of [ nu(j|i)^a * theta(j|i)^(1-a) ], -inf off the common support."""
+    """Elementwise log of [ nu(j|i)^a * theta(j|i)^(1-a) ], -inf off the common support.
+
+    Memoised on the order and the two measures' identities, read-only: the
+    rate, the solver and the certificates ask for it on the same pair.
+    """
     k_nu = kernel(nu).rows
     k_theta = kernel(theta).rows
     both = (k_nu > 0) & (k_theta > 0)
     out = np.full(k_nu.shape, -math.inf)
     out[both] = a * np.log(k_nu[both]) + (1.0 - a) * np.log(k_theta[both])
+    out.flags.writeable = False
     return out
 
 

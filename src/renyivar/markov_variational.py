@@ -49,7 +49,7 @@ from .markov import (
     kernel,
     rel_entropy_rate,
 )
-from .numerics import checked_array
+from .numerics import checked_array, memoised
 from .spectral import PerronData, _growth, _locate_dominant, _twist
 from .variational import CertResult, _attainment_residual, _signed_gap
 
@@ -111,7 +111,10 @@ class RhoIdentityReport:
         rho([nu*(j|i)^a theta(j|i)^(1-a)]) = rho(N) - a rho(M)
         rho([e^{(a-1) g} nu*(j|i)])        = rho(N) - rho(M)
 
-    by recomputing every growth rate from scratch.
+    with each growth rate taken from its own tilted matrix.  The twist and
+    the tilts are those the solvers built for the same ``g`` and ``theta``
+    objects, read from their memos where present; a memo hit gives the bits
+    a recomputation would.
     """
 
     rho_n: float
@@ -208,11 +211,14 @@ def certify_markov_inequality(
     return CertResult(passed=slack >= -tol, slack=slack)
 
 
-def _edge_tilt(g: EdgeFn, pair: PairMeasure, factor: float = 1.0) -> np.ndarray:
+@memoised
+def _edge_tilt(g: EdgeFn, pair: PairMeasure, factor: float) -> np.ndarray:
     """Elementwise log of [e^{factor * g(i,j)} pair(j|i)], -inf off the edge support.
 
     A tilt that overflows on a supported edge would silently add or delete
-    that edge, so it is rejected instead.
+    that edge, so it is rejected instead.  Memoised on the factor and the
+    identities of ``g`` and ``pair``, read-only: one order's certificates
+    tilt the same pair by the same factor several times.
     """
     rows = kernel(pair).rows
     out = np.full(rows.shape, -math.inf)
@@ -221,6 +227,7 @@ def _edge_tilt(g: EdgeFn, pair: PairMeasure, factor: float = 1.0) -> np.ndarray:
     if not np.isfinite(tilted).all():
         raise InputValidationError(f"the tilt {factor!r} * g leaves the float range on a supported edge")
     out[on] = tilted
+    out.flags.writeable = False
     return out
 
 
@@ -231,7 +238,7 @@ def varadhan_growth(g: EdgeFn, mu: PairMeasure) -> ExtReal:
     cyclic classes, so the tilted matrix is never nilpotent.
     """
     _check_dims(g, mu)
-    return _growth(_edge_tilt(g, mu))
+    return _growth(_edge_tilt(g, mu, 1.0))
 
 
 def varadhan_solve(g: EdgeFn, mu: PairMeasure) -> MarkovVarSolution:
@@ -243,7 +250,7 @@ def varadhan_solve(g: EdgeFn, mu: PairMeasure) -> MarkovVarSolution:
     class.  The reported residual evaluates that attainment independently.
     """
     _check_dims(g, mu)
-    log_m = _edge_tilt(g, mu)
+    log_m = _edge_tilt(g, mu, 1.0)
     twisted = _locate_and_twist(log_m, log_m)
     assert twisted is not None  # stationary supports always carry a cycle
     value, theta_star, cls, data = twisted
@@ -262,11 +269,19 @@ def markov_acd_sup(alpha: Alpha, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolu
     vectors on the class where ``N`` grows fastest.
     """
     _check_dims(g, theta)
-    a = alpha.value
-    twisted = _locate_and_twist(_edge_tilt(g, theta, factor=a), _edge_tilt(g, theta), a)
+    return _acd_sup(alpha.value, g, theta)
+
+
+@memoised
+def _acd_sup(a: float, g: EdgeFn, theta: PairMeasure) -> MarkovVarSolution:
+    """:func:`markov_acd_sup` at order ``a``, memoised on ``a`` and the identities of ``g`` and ``theta``.
+
+    :func:`rho_identities_check` reads the same solution, optimizer and all.
+    """
+    twisted = _locate_and_twist(_edge_tilt(g, theta, a), _edge_tilt(g, theta, 1.0), a)
     assert twisted is not None
     value, nu_star, cls, data = twisted
-    recentred = _growth(_edge_tilt(g, nu_star, factor=a - 1.0))
+    recentred = _growth(_edge_tilt(g, nu_star, a - 1.0))
     attained = recentred.scale(1.0 / (a - 1.0)) - _rate(a, nu_star, theta)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, nu_star, cls, data, residual)
@@ -281,10 +296,10 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
     """
     _check_dims(g, nu)
     a = alpha.value
-    twisted = _locate_and_twist(_edge_tilt(g, nu, factor=a - 1.0), _edge_tilt(g, nu, factor=-1.0), a - 1.0)
+    twisted = _locate_and_twist(_edge_tilt(g, nu, a - 1.0), _edge_tilt(g, nu, -1.0), a - 1.0)
     assert twisted is not None
     value, theta_star, cls, data = twisted
-    ambient = _growth(_edge_tilt(g, theta_star, factor=a))
+    ambient = _growth(_edge_tilt(g, theta_star, a))
     attained = ambient.scale(1.0 / a) + _rate(a, nu, theta_star)
     residual = _attainment_residual(value, attained)
     return MarkovVarSolution(value, theta_star, cls, data, residual)
@@ -293,15 +308,20 @@ def markov_acd_inf(alpha: Alpha, g: EdgeFn, nu: PairMeasure) -> MarkovVarSolutio
 def rho_identities_check(
     alpha: Alpha, g: EdgeFn, theta: PairMeasure, tol: float = TOL.attainment_markov
 ) -> RhoIdentityReport:
-    """Recheck the two growth-rate identities tying the twist to its ambients."""
+    """Recheck the two growth-rate identities tying the twist to its ambients.
+
+    The twist is :func:`markov_acd_sup`'s, reused when that already ran on
+    the same ``g`` and ``theta`` objects at the same order (see
+    :class:`RhoIdentityReport`).
+    """
     a = alpha.value
     solution = markov_acd_sup(alpha, g, theta)
     nu_star = solution.optimizer
     assert nu_star is not None
-    rho_n = _growth(_edge_tilt(g, theta, factor=a)).raw
-    rho_m = _growth(_edge_tilt(g, theta)).raw
+    rho_n = _growth(_edge_tilt(g, theta, a)).raw
+    rho_m = _growth(_edge_tilt(g, theta, 1.0)).raw
     mixture_growth = _growth(_tilted_log_kernel(a, nu_star, theta)).raw
-    recentred_growth = _growth(_edge_tilt(g, nu_star, factor=a - 1.0)).raw
+    recentred_growth = _growth(_edge_tilt(g, nu_star, a - 1.0)).raw
     mixture_drift = abs(mixture_growth - (rho_n - a * rho_m))
     recentred_drift = abs(recentred_growth - (rho_n - rho_m))
     return RhoIdentityReport(
@@ -331,8 +351,8 @@ def certify_markov_acd(
     """
     _check_dims(g, nu, theta)
     a = alpha.value
-    lhs = _growth(_edge_tilt(g, theta, factor=a)).raw / a
-    rhs = _growth(_edge_tilt(g, nu, factor=a - 1.0)).raw / (a - 1.0)
+    lhs = _growth(_edge_tilt(g, theta, a)).raw / a
+    rhs = _growth(_edge_tilt(g, nu, a - 1.0)).raw / (a - 1.0)
     rate = _rate(a, nu, theta)
     if not rate.is_finite:
         return CertResult(passed=True, slack=math.inf)

@@ -7,7 +7,8 @@ Such entries drop out of log-sum-exp reductions and never turn into NaN.
 
 It also holds :func:`checked_array`, the one rule for a valid input array, and
 :func:`memoised`, the one cache of the library: it keys a deterministic
-function on its scalar arguments and the exact bytes of its array arguments.
+function on the exact bytes of its array arguments and on its other
+arguments themselves (immutable library objects by identity).
 """
 
 from __future__ import annotations
@@ -159,15 +160,19 @@ _ARRAY = object()
 
 
 def memoised(f):
-    """``f(*args)`` memoised on its hashable scalars and the exact bytes of its arrays.
+    """``f(*args)`` memoised on the exact bytes of its arrays and the hash of its other arguments.
 
     Each array argument is keyed on its shape, dtype and C-order bytes, and
-    ``f`` sees a read-only array rebuilt from those bytes; ``f`` is
-    deterministic and returns immutable or read-only results, so a hit gives
-    what a recomputation would.  A call with an array of more than
-    ``MEMO_MAX_STATES`` rows calls ``f`` directly, on C-contiguous copies of
-    its arrays.  At most ``MEMO_ENTRIES`` results are kept, least recently
-    used first out.
+    ``f`` sees a read-only array rebuilt from those bytes.  Any other argument
+    is its own key: a scalar by value, and an immutable library object (an
+    ``eq=False`` dataclass such as a pair measure) by identity.  The memo
+    holds a strong reference to each key, so no identity is reused while its
+    entry lives.  ``f`` is deterministic and returns immutable or read-only
+    results, so a hit gives what a recomputation would.  A call with an array
+    of more than ``MEMO_MAX_STATES`` rows, or an argument whose ``.d`` exceeds
+    ``MEMO_MAX_STATES``, calls ``f`` directly, on C-contiguous copies of its
+    arrays.  At most ``MEMO_ENTRIES`` results are kept, least recently used
+    first out.
     """
     @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def by_key(*key):
@@ -182,10 +187,14 @@ def memoised(f):
         for x in args:
             if isinstance(x, np.ndarray):
                 if x.ndim and x.shape[0] > MEMO_MAX_STATES:
-                    return f(*[np.ascontiguousarray(y) if isinstance(y, np.ndarray) else y for y in args])
+                    break
                 x = (_ARRAY, x.shape, x.dtype.str, x.tobytes())
+            elif getattr(x, "d", 0) > MEMO_MAX_STATES:
+                break
             key.append(x)
-        return by_key(*key)
+        else:
+            return by_key(*key)
+        return f(*[np.ascontiguousarray(y) if isinstance(y, np.ndarray) else y for y in args])
 
     wrapper.cache_clear, wrapper.cache_info = by_key.cache_clear, by_key.cache_info
     return wrapper

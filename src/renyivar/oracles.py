@@ -464,7 +464,11 @@ def _random_rows(
     The edges are drawn in one call, row by row in state order, which is the
     stream of one call per row.  ``None`` if a row's draws are all zero; the
     generator is then rewound and draws again only up to that row, where a
-    row-by-row loop would have stopped.
+    row-by-row loop would have stopped.  Also ``None``, with every draw kept,
+    if entries of exactly zero (a zero draw, or one that underflows when its
+    row is normalised) leave the kernel reducible on the class: it then has
+    no unique stationary law.  Without such an entry the kernel has the
+    class's own edges, so the classes are found only after one.
     """
     rows = np.zeros(sub_mask.shape)
     src, dst = np.nonzero(_block(sub_mask, states))
@@ -477,13 +481,20 @@ def _random_rows(
         rng.gamma(shape, size=int(np.searchsorted(src, empty[0], side="right")))
         return None
     rows[states] /= totals[:, None]
+    if np.count_nonzero(rows) < src.size and len(_classes_of(_block(rows, states) > 0).classes) > 1:
+        return None
     return rows
 
 
 def _random_stationary(
     rng: np.random.Generator, edge_mask: np.ndarray, shape: float, state_pool: np.ndarray
 ) -> PairMeasure | None:
-    """A random stationary pair measure on a random cyclic subgraph of the mask."""
+    """A random stationary pair measure on a random cyclic subgraph of the mask.
+
+    ``None`` when a class's drawn kernel has no stationary law this solve can
+    find: a row drew only zeros, zero entries made the kernel reducible, or
+    the solve is singular in floats.
+    """
     d = edge_mask.shape[0]
     in_pool = np.zeros(d, dtype=bool)
     in_pool[state_pool] = True
@@ -500,7 +511,13 @@ def _random_stationary(
         rows = _random_rows(rng, sub_mask, states, shape)
         if rows is None:
             return None
-        pi = _stationary_law(rows, states)
+        try:
+            pi = _stationary_law(rows, states)
+        except np.linalg.LinAlgError:
+            pi = None
+        if pi is None or np.isnan(pi).any():
+            # the solve is singular in floats: a set of states leaks mass only below its rows' rounding
+            return None
         entries += lam * (pi[:, None] * rows)
     return PairMeasure(entries)
 

@@ -61,10 +61,15 @@ balancing with the Perron pair of a class block, and the left power iteration
 that stands in for a pair without a left vector are memoised on the exact
 bytes of their input (:func:`renyivar.numerics.memoised`):
 the Markov certificates repeat them on the same matrices many times over.
-Each step is deterministic and returns read-only results, so a hit gives the
-very floats a recomputation would.  Each memo holds at most 64 arrays of at
-most 64 rows.  As an exact fast path, a complete support digraph is one cyclic
-class at once.
+One layer up, the log-matrices are themselves memoised on the identities of
+the measures they tilt (``markov._tilted_log_kernel``,
+``markov_variational._edge_tilt``), so a repeated certificate hands these
+steps the very array it built before; here the key stays the bytes, which
+also matches a matrix rebuilt from other objects.  Each step is
+deterministic and returns read-only results, so a hit gives the very floats
+a recomputation would.  Each memo holds at most 64 arrays of at most 64 rows.
+As an exact fast path, a complete support digraph is one cyclic class at
+once.
 """
 
 from __future__ import annotations
@@ -321,17 +326,19 @@ def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
     """
     n = block_log.shape[0]
     walks = np.zeros((n + 1, n))
+    sums = np.empty((n, n))  # one scratch array for every step's sums
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            (block_log + walks[k]).max(axis=1, out=walks[k + 1])
+            np.add(block_log, walks[k], out=sums)
+            np.maximum.reduce(sums, axis=1, out=walks[k + 1])
         final = walks[n]
         # an unreached walks[k, v] gives the gap +inf, which the min ignores; the
         # columns of an unreached final[v] (NaN or -inf) are left out of mu
-        means = ((final - walks[:n]) / np.arange(n, 0, -1)[:, None]).min(axis=0)
-        mu = float(means[final > -math.inf].max(initial=-math.inf))
+        means = np.minimum.reduce((final - walks[:n]) / np.arange(n, 0, -1)[:, None], axis=0)
+        mu = float(np.maximum.reduce(means[final > -math.inf], initial=-math.inf))
         if not math.isfinite(mu):
             raise ClassStructureError("the max-plus walks of the class leave the float range")
-        pot = (walks - np.arange(n + 1)[:, None] * mu).max(axis=0)
+        pot = np.maximum.reduce(walks - np.arange(n + 1)[:, None] * mu, axis=0)
     return mu, pot
 
 
@@ -366,11 +373,15 @@ def _tight(lo: float, hi: float) -> bool:
 
 
 def _bracketed(image: np.ndarray, x: np.ndarray) -> bool:
-    """True when ``x > 0`` and the ratios ``image / x`` (``image = B x``) bracket the root tightly."""
+    """True when ``x > 0`` and the ratios ``image / x`` (``image = B x``) bracket the root tightly.
+
+    The ratios are compared as Python floats.  ``min`` and ``max`` may pass
+    over a NaN ratio, but it makes their sum NaN, so it still fails.
+    """
     if not x.min() > 0:
         return False
-    ratios = image / x
-    return _tight(ratios.min(), ratios.max())
+    ratios = (image / x).tolist()
+    return _tight(min(ratios), max(ratios)) and not math.isnan(sum(ratios))
 
 
 def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
@@ -473,11 +484,10 @@ def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | Non
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
     decomposition = _classes_of(log_block > -math.inf)
-    shown = tuple(int(s) for s in states)
     if len(decomposition.classes) != 1:
-        raise ClassStructureError(f"states {shown} do not form a single irreducible class")
+        raise ClassStructureError(f"states {tuple(int(s) for s in states)} do not form a single irreducible class")
     if not decomposition.cyclic[0]:
-        raise ClassStructureError(f"singleton class {shown} has no self-loop, hence no cycle")
+        raise ClassStructureError(f"singleton class {tuple(int(s) for s in states)} has no self-loop, hence no cycle")
 
 
 def _block(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
@@ -487,7 +497,10 @@ def _block(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
 
 def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
     """A class block rescaled by its max-plus eigendata ``(mu, pot)``, exponentiated."""
-    return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
+    scaled = block_log + pot[None, :]
+    scaled -= pot[:, None]
+    scaled -= mu
+    return np.exp(scaled, out=scaled)
 
 
 @memoised
@@ -550,10 +563,12 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
     if left_block is None:
         left_block = _left_step(block_log, mu, pot)
     log_lam = math.log(lam) + mu
-    # undo the balancing in log space: right picks up +pot, left picks up -pot
-    log_right = pot + safe_log(np.abs(right_block))
+    # undo the balancing in log space: right picks up +pot, left picks up -pot;
+    # the vectors are nonnegative, and only an entry that underflowed has log -inf
+    with np.errstate(divide="ignore"):
+        log_right = pot + np.log(right_block)
+        log_left = -pot + np.log(left_block)
     log_right -= logsumexp(log_right)
-    log_left = -pot + safe_log(np.abs(left_block))
     log_left -= logsumexp(log_left + log_right)
     right = np.zeros(d)
     left = np.zeros(d)
@@ -580,14 +595,12 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
         log_u = np.log(data.left[idx])
         log_w = np.log(data.right[idx])
     log_weights = log_u[:, None] + block + log_w[None, :]
-    log_z = logsumexp(log_weights)
-    entries = np.zeros_like(log_entries)
-    finite = block > -math.inf
-    sub = np.zeros_like(block)
-    sub[finite] = np.exp(log_weights[finite] - log_z)
-    if not np.isfinite(sub).all():
+    log_weights -= logsumexp(log_weights)
+    sub = np.exp(log_weights, out=log_weights)  # exp(-inf) = 0 off the class's edges
+    if not sub.max() < math.inf:  # the max of the nonnegative weights is NaN if one is
         raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
-    entries[np.ix_(idx, idx)] = sub
+    entries = np.zeros_like(log_entries)
+    entries[idx[:, None], idx] = sub
     return entries, data
 
 

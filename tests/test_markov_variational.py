@@ -21,9 +21,10 @@ from renyivar import (
     varadhan_growth,
     varadhan_solve,
 )
+from renyivar import markov, markov_variational, numerics
 from renyivar.markov import _tilted_log_kernel
 from renyivar.spectral import dominant_class, growth_rate_from_log
-from conftest import ALPHA_GRID, feasible_edge_mask, random_pair, random_pair_on
+from conftest import ALPHA_GRID, clear_memos, feasible_edge_mask, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
 TWO_CYCLE = PairMeasure([[0.0, 0.5], [0.5, 0.0]])
@@ -313,3 +314,71 @@ class TestMarkovACD:
                 nu, th = random_pair(rng, d), random_pair(rng, d)
                 g = EdgeFn(rng.uniform(-2.0, 2.0, size=(d, d)))
                 assert certify_markov_acd(Alpha(a), g, nu, th).passed
+
+
+# The memos of the Markov stack: each one's arguments for the k-th distinct
+# input on pair measures of ``d`` states, keyed on the order or the factor.
+def _memo_cases(d):
+    rng = np.random.default_rng(d)
+    nu, theta = random_pair(rng, d), random_pair(rng, d)
+    g = EdgeFn(rng.uniform(-2.0, 2.0, size=(d, d)))
+    return {
+        "_tilted_log_kernel": (markov._tilted_log_kernel, lambda k: (2.0 + k, nu, theta)),
+        "_edge_tilt": (markov_variational._edge_tilt, lambda k: (g, theta, 0.5 + k)),
+        "_acd_sup": (markov_variational._acd_sup, lambda k: (2.0 + k, g, theta)),
+    }
+
+
+def _arrays_in(result):
+    """Every numpy array in a memo result, through dataclass fields."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if hasattr(result, "__dataclass_fields__"):
+        return [a for name in result.__dataclass_fields__ for a in _arrays_in(getattr(result, name))]
+    return []
+
+
+class TestMarkovMemos:
+    @pytest.mark.parametrize("name", _memo_cases(2))
+    def test_memo_holds_a_bounded_number_of_small_inputs(self, name):
+        memo, args = _memo_cases(3)[name]
+        clear_memos()
+        for k in range(numerics.MEMO_ENTRIES + 5):
+            memo(*args(k))
+        assert memo.cache_info().currsize == numerics.MEMO_ENTRIES
+
+    @pytest.mark.parametrize("name", _memo_cases(2))
+    def test_measures_above_the_state_cap_bypass_the_memo(self, name):
+        memo, args = _memo_cases(numerics.MEMO_MAX_STATES + 1)[name]
+        clear_memos()
+        first = memo(*args(0))
+        assert memo(*args(0)) is not first
+        assert memo.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", _memo_cases(2))
+    def test_memo_returns_read_only_results(self, name):
+        memo, args = _memo_cases(3)[name]
+        clear_memos()
+        miss = memo(*args(0))
+        hit = memo(*args(0))
+        assert hit is miss and memo.cache_info().hits == 1
+        arrays = _arrays_in(hit)
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    def test_identities_after_the_sup_equal_a_cold_check(self, rng):
+        """The check reuses the sup's twist, and reads the same bits as when it solves it alone."""
+        fields = ("rho_n", "rho_m", "mixture_growth", "mixture_drift", "recentred_growth", "recentred_drift")
+        for a in ALPHA_GRID:
+            for d in (2, 3, 5):
+                theta = random_pair(rng, d) if d != 5 else random_pair_on(rng, rng.random((d, d)) < 0.5)
+                if theta is None:
+                    continue
+                g = EdgeFn(rng.uniform(-3.0, 3.0, size=(d, d)))
+                clear_memos()
+                cold = rho_identities_check(Alpha(a), g, theta)
+                clear_memos()
+                markov_acd_sup(Alpha(a), g, theta)
+                warm = rho_identities_check(Alpha(a), g, theta)
+                assert markov_variational._acd_sup.cache_info().hits == 1
+                assert [getattr(warm, f).hex() for f in fields] == [getattr(cold, f).hex() for f in fields]
+                assert warm.passed == cold.passed

@@ -175,6 +175,31 @@ def test_memoised_is_bounded_and_bypassed_above_the_state_cap():
     assert probe.cache_info().currsize == numerics.MEMO_ENTRIES
 
 
+class _Sized:
+    """An immutable object with a size ``d``, hashed and compared by identity."""
+
+    def __init__(self, d):
+        self.d = d
+
+
+def test_memoised_keys_objects_by_identity_and_bypasses_large_ones():
+    evaluations = []
+
+    @memoised
+    def probe(obj, scale):
+        evaluations.append(obj)
+        return scale * obj.d
+
+    small, twin = _Sized(3), _Sized(3)
+    assert probe(small, 2.0) == probe(small, 2.0) == 6.0
+    probe(twin, 2.0)  # an equal object of another identity: a miss
+    assert evaluations == [small, twin] and probe.cache_info().hits == 1
+    big = _Sized(numerics.MEMO_MAX_STATES + 1)
+    probe(big, 1.0)
+    probe(big, 1.0)
+    assert evaluations[2:] == [big, big] and probe.cache_info().currsize == 2
+
+
 def test_every_library_memo_is_bounded():
     memos = library_memos()
     assert len(memos) >= 5  # four spectral steps and the Renyi divergence

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -922,3 +923,183 @@ class TestLocateDominant:
         clear_memos()
         with pytest.raises(ClassStructureError):
             spectral.dominant_class(log_m)
+
+
+# Frozen copies of the Perron and twist kernels before their numpy calls were
+# trimmed; the library's must return the same bits.  Helpers whose code did not
+# change (``_balance`` of one or two states, ``_two_state_pair``,
+# ``_power_iteration``) are the library's own.
+def _frozen_tropical_balance(block_log):
+    n = block_log.shape[0]
+    walks = np.zeros((n + 1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            (block_log + walks[k]).max(axis=1, out=walks[k + 1])
+        final = walks[n]
+        means = ((final - walks[:n]) / np.arange(n, 0, -1)[:, None]).min(axis=0)
+        mu = float(means[final > -math.inf].max(initial=-math.inf))
+        if not math.isfinite(mu):
+            raise ClassStructureError("the max-plus walks of the class leave the float range")
+        pot = (walks - np.arange(n + 1)[:, None] * mu).max(axis=0)
+    return mu, pot
+
+
+def _frozen_bracketed(image, x):
+    if not x.min() > 0:
+        return False
+    ratios = image / x
+    return spectral._tight(ratios.min(), ratios.max())
+
+
+def _frozen_squared_pair(block):
+    n = block.shape[0]
+    ones = np.ones(n)
+    power = block + np.eye(n)
+    for _ in range(spectral._UNCHECKED_SQUARINGS):
+        power = power.dot(power)
+    previous = right_only = None
+    for _ in range(spectral._SQUARING_CAP):
+        power /= power.max()
+        power = power.dot(power)
+        right = power.dot(ones)
+        image = block.dot(right)
+        if _frozen_bracketed(image, right):
+            left = ones.dot(power)
+            lam = float(left.dot(image)) / float(left.dot(right))
+            if _frozen_bracketed(left.dot(block), left):
+                return lam, right, left
+            right_only = lam, right, None
+        if previous is not None and (np.abs(right - previous) <= spectral._STALL_RTOL * right).all():
+            break
+        previous = right
+    return right_only
+
+
+def _frozen_perron_pair(block):
+    n = block.shape[0]
+    if not block.max() < math.inf:
+        return None
+    if n == 1:
+        return float(block[0, 0]), np.ones(1), np.ones(1)
+    if n == 2:
+        return spectral._two_state_pair(block)
+    return _frozen_squared_pair(block)
+
+
+def _frozen_balanced_exp(block_log, mu, pot):
+    return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
+
+
+def _frozen_perron(log_entries, cls):
+    """``(log_lam, left, right)`` of a cyclic class, with the class step unrolled and unmemoised."""
+    d = log_entries.shape[0]
+    idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
+    block_log = log_entries[np.ix_(idx, idx)]
+    mu, pot = spectral._balance(block_log) if idx.size <= 2 else _frozen_tropical_balance(block_log)
+    block = _frozen_balanced_exp(block_log, mu, pot)
+    pair = _frozen_perron_pair(block)
+    if pair is None:
+        lam, right_block, _ = spectral._power_iteration(block)
+        left_block = None
+    else:
+        lam, right_block, left_block = pair
+    if left_block is None:
+        _, left_block, _ = spectral._power_iteration(_frozen_balanced_exp(block_log, mu, pot).T)
+    log_lam = math.log(lam) + mu
+    log_right = pot + safe_log(np.abs(right_block))
+    log_right -= numerics.logsumexp(log_right)
+    log_left = -pot + safe_log(np.abs(left_block))
+    log_left -= numerics.logsumexp(log_left + log_right)
+    right = np.zeros(d)
+    left = np.zeros(d)
+    right[idx] = np.exp(log_right)
+    left[idx] = np.exp(log_left)
+    return log_lam, left, right
+
+
+def _frozen_twist(log_entries, cls):
+    log_lam, left, right = _frozen_perron(log_entries, cls)
+    idx = np.asarray(cls, dtype=int)
+    block = log_entries[np.ix_(idx, idx)]
+    with np.errstate(divide="ignore"):
+        log_u = np.log(left[idx])
+        log_w = np.log(right[idx])
+    log_weights = log_u[:, None] + block + log_w[None, :]
+    log_z = numerics.logsumexp(log_weights)
+    entries = np.zeros_like(log_entries)
+    finite = block > -math.inf
+    sub = np.zeros_like(block)
+    sub[finite] = np.exp(log_weights[finite] - log_z)
+    if not np.isfinite(sub).all():
+        raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
+    entries[np.ix_(idx, idx)] = sub
+    return entries, (log_lam, left, right)
+
+
+def _bits(result):
+    """Floats as hex and arrays as dtype, shape and bytes, through tuples."""
+    if isinstance(result, tuple):
+        return tuple(_bits(item) for item in result)
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, float):
+        return result.hex()
+    return result
+
+
+def _outcome(kernel, *args):
+    """The bits of what ``kernel`` returns, or the type and message of the library error it raises."""
+    try:
+        return _bits(kernel(*args))
+    except (ClassStructureError, PerronConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _library_perron(log_entries, cls):
+    data = spectral._perron(log_entries, cls, 0)
+    return data.log_lam, data.left, data.right
+
+
+def _library_twist(log_entries, cls):
+    entries, data = spectral._twist(log_entries, cls)
+    return entries, (data.log_lam, data.left, data.right)
+
+
+def test_trimmed_kernels_match_their_frozen_copies(rng):
+    """About 300 seeded log-matrices of 1 to 12 states, entries within +-40 or +-700, with -inf patterns.
+
+    On every cyclic class: ``_tropical_balance`` of the class block,
+    ``_perron_pair`` of its balanced block and of the transpose, ``_perron``
+    and ``_twist``, each bit for bit, cold memos for every matrix.
+    """
+    pairs, twists = collections.Counter(), 0
+    for k in range(300):
+        n = k % 12 + 1
+        scale = 40.0 if k % 2 else 700.0
+        log_m = rng.uniform(-scale, scale, size=(n, n))
+        log_m[rng.random((n, n)) < float(rng.uniform(0.0, 0.6))] = -math.inf
+        clear_memos()
+        dec = spectral._decompose(log_m > -math.inf, range(n))
+        for cls in dec.cyclic_classes():
+            block_log = log_m[np.ix_(cls, cls)]
+            assert _outcome(spectral._tropical_balance, block_log) == _outcome(_frozen_tropical_balance, block_log)
+            balanced = _frozen_balanced_exp(block_log, *spectral._balance(block_log))
+            assert spectral._balanced_exp(block_log, *spectral._balance(block_log)).tobytes() == balanced.tobytes()
+            for block in (balanced, balanced.T):
+                got = _outcome(spectral._perron_pair, block)
+                assert got == _outcome(_frozen_perron_pair, block)
+                pairs["none" if got is None else "right only" if got[2] is None else "both"] += 1
+            assert _outcome(_library_perron, log_m, cls) == _outcome(_frozen_perron, log_m, cls)
+            got = _outcome(_library_twist, log_m, cls)
+            assert got == _outcome(_frozen_twist, log_m, cls)
+            twists += len(got) == 2 and isinstance(got[1], tuple)
+    # the power iteration stands in for both vectors, and for the left one alone
+    assert pairs["both"] >= 400 and pairs["none"] >= 20 and pairs["right only"] >= 20 and twists >= 150
+
+
+def test_bracket_fails_on_a_nan_ratio():
+    """``min`` and ``max`` of Python floats may pass over a NaN, which must still fail the bracket."""
+    x = np.ones(3)
+    for image in ([math.nan, 1.0, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.nan]):
+        assert not spectral._bracketed(np.array(image), x)
+    assert spectral._bracketed(np.ones(3), x)
