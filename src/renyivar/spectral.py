@@ -484,10 +484,11 @@ def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | Non
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
     decomposition = _classes_of(log_block > -math.inf)
+    shown = tuple(int(s) for s in states)
     if len(decomposition.classes) != 1:
-        raise ClassStructureError(f"states {tuple(int(s) for s in states)} do not form a single irreducible class")
+        raise ClassStructureError(f"states {shown} do not form a single irreducible class")
     if not decomposition.cyclic[0]:
-        raise ClassStructureError(f"singleton class {tuple(int(s) for s in states)} has no self-loop, hence no cycle")
+        raise ClassStructureError(f"singleton class {shown} has no self-loop, hence no cycle")
 
 
 def _block(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
@@ -497,10 +498,7 @@ def _block(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
 
 def _balanced_exp(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
     """A class block rescaled by its max-plus eigendata ``(mu, pot)``, exponentiated."""
-    scaled = block_log + pot[None, :]
-    scaled -= pot[:, None]
-    scaled -= mu
-    return np.exp(scaled, out=scaled)
+    return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
 
 
 @memoised

@@ -47,6 +47,17 @@ def clear_memos() -> None:
         memo.cache_clear()
 
 
+def arrays_in(result) -> list:
+    """Every numpy array in a memo result: tuples and dataclass fields, recursively."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return [a for item in result for a in arrays_in(item)]
+    if hasattr(result, "__dataclass_fields__"):
+        return [a for field in result.__dataclass_fields__ for a in arrays_in(getattr(result, field))]
+    return []
+
+
 def random_dist(rng: np.random.Generator, d: int, shape: float = 1.0) -> Dist:
     return Dist(rng.gamma(shape, 1.0, size=d) + 1e-12)
 

@@ -24,7 +24,7 @@ from renyivar import (
 from renyivar import markov, markov_variational, numerics
 from renyivar.markov import _tilted_log_kernel
 from renyivar.spectral import dominant_class, growth_rate_from_log
-from conftest import ALPHA_GRID, clear_memos, feasible_edge_mask, random_pair, random_pair_on
+from conftest import ALPHA_GRID, arrays_in, clear_memos, feasible_edge_mask, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
 TWO_CYCLE = PairMeasure([[0.0, 0.5], [0.5, 0.0]])
@@ -329,15 +329,6 @@ def _memo_cases(d):
     }
 
 
-def _arrays_in(result):
-    """Every numpy array in a memo result, through dataclass fields."""
-    if isinstance(result, np.ndarray):
-        return [result]
-    if hasattr(result, "__dataclass_fields__"):
-        return [a for name in result.__dataclass_fields__ for a in _arrays_in(getattr(result, name))]
-    return []
-
-
 class TestMarkovMemos:
     @pytest.mark.parametrize("name", _memo_cases(2))
     def test_memo_holds_a_bounded_number_of_small_inputs(self, name):
@@ -362,7 +353,7 @@ class TestMarkovMemos:
         miss = memo(*args(0))
         hit = memo(*args(0))
         assert hit is miss and memo.cache_info().hits == 1
-        arrays = _arrays_in(hit)
+        arrays = arrays_in(hit)
         assert arrays and not any(a.flags.writeable for a in arrays)
 
     def test_identities_after_the_sup_equal_a_cold_check(self, rng):

