@@ -33,7 +33,9 @@ through the order-free functions (absolute continuity, relative entropy
 and its rate, kernels, path distributions, the spectral functions of the
 reference's matrix) and, at three orders, the finite-horizon oracles.  Each
 seed ends with one 128-state matrix, large enough that ``log_matmul``
-splits it into blocks of rows.
+splits it into blocks of rows.  After the seeds, three long cyclic classes
+on 0/1 supports go through ``growth_rate``, ``perron`` and
+``maximal_abs_cont`` (see ``long_classes``).
 
 After the sweep the script exits 1, naming them, if any public function of
 ``renyivar.__all__`` was never called.
@@ -173,6 +175,30 @@ def markov_pairs(rng, rv, workloads):
         yield f"faint block d={d}", rv.PairMeasure(bright + faint), theta, d
 
 
+def long_classes(rv):
+    """(tag, matrix) of three long cyclic classes whose Parry masses or spectral gaps are tiny.
+
+    A 30-state clique with self-loops and a complete bipartite pair of
+    30-state layers, each closed by a return path of 250 states (Parry
+    masses about 30^-251 on the path), and a ring of 200 states with one
+    chord to its middle state (period 100, a gap of order 1/d^2).
+    """
+    def with_return_path(core, length):
+        k = core.shape[0]
+        support = np.zeros((k + length, k + length))
+        support[:k, :k] = core
+        path = [k - 1, *range(k, k + length), 0]
+        support[path[:-1], path[1:]] = 1.0
+        return support
+
+    ring = np.roll(np.eye(200), 1, axis=1)
+    ring[0, 100] = 1.0
+    yield "long clique+path d=280", rv.NonnegMatrix(with_return_path(np.ones((30, 30)), 250))
+    yield "long ring+chord d=200", rv.NonnegMatrix(ring)
+    bipartite = np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((30, 30)))
+    yield "long bipartite+path d=310", rv.NonnegMatrix(with_return_path(bipartite, 250))
+
+
 def sweep_iid(digest: Digest, rv, tag, nu, theta, g, rng) -> None:
     """Every single-letter solver and certificate on one pair, at every order."""
     mix = rv.Dist(nu.weights + theta.weights)
@@ -296,6 +322,10 @@ def main() -> int:
             digest.call(tag, rv.growth_rate, large)
             digest.call(tag, rv.growth_rate_bruteforce, large, 3)
             digest.call(tag, rv.log_mass_sequence, large, 3)
+        for tag, m in long_classes(rv):
+            digest.call(tag, rv.growth_rate, m)
+            digest.call(tag, rv.perron, m, range(m.d))
+            digest.call(tag, rv.maximal_abs_cont, m)
     never = [
         name for name in rv.__all__
         if callable(obj := getattr(rv, name)) and not isinstance(obj, type) and obj not in digest.called

@@ -25,7 +25,9 @@ class Tolerances:
         attainment_markov: attainment residual certified by the Markov
             variational solvers (eigenvector accuracy enters here).
         perron_resid: relative eigen-residual guaranteed on returned
-            Perron data, measured in the scaled class block.
+            Perron data, measured on the unit-norm vectors in the balanced
+            class block; it certifies the vectors where their
+            Collatz--Wielandt bracket stalls at the rounding floor.
         alpha_excluded: half-width of the excluded neighborhoods around the
             divergence orders 0 and 1.
         alpha_max: largest |order| accepted.

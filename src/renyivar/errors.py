@@ -66,7 +66,7 @@ class ExtRealArithmeticError(RenyiVarError, ArithmeticError):
 
 
 class PerronConvergenceError(RenyiVarError, RuntimeError):
-    """Power iteration failed to certify an eigenpair within its budget."""
+    """No certified Perron pair: a class block's squarings met neither bound, or its entries overflow."""
 
 
 class ClassStructureError(InputValidationError):

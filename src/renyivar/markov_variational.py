@@ -16,10 +16,9 @@ Attaining measures are *eigenvector twists*, all built by one route,
 fastest (classes in smallest-state order, the first with the largest Perron
 root wins), and there form ``mu*(i, j) = u(i) M(i, j) w(j) / Z``, stationary
 for ``u, w`` the left and right Perron vectors of a matrix ``M``.  The twist
-itself is built by ``spectral._twist``, which ``spectral.maximal_abs_cont``
-shares.  The completion of such a twist to the other classes of a reducible
-reference measure, where the problem needs mass on each of them, belongs in
-this route, built on ``spectral._twist``.
+itself is built by ``spectral._twist``.  The completion of such a twist to
+the other classes of a reducible reference measure, where the problem needs
+mass on each of them, belongs in this route, built on ``spectral._twist``.
 
 ``N = M`` is the tilted kernel matrix for the divergence rate, and
 ``[e^{g} mu(j|i)]`` for :func:`varadhan_solve`.  The order-``a`` tilt pair

@@ -397,7 +397,8 @@ def _search_iid(
         for candidate in found:
             if candidate is not None and (best_val is None or better(candidate[0], best_val) == candidate[0]):
                 best_val, best_weights = candidate
-    assert best_val is not None and best_weights is not None
+    if best_val is None or best_weights is None:
+        raise InvalidDistributionError(f"none of the {trials} trials drew weights that normalise to a candidate")
     best_sampled = best_val
     # Coordinate tilts with step halving, restricted to the full feasible support.
     weights = np.zeros(nu.d)
@@ -562,7 +563,8 @@ def _search_markov(
         val = _markov_objective_value(a, candidate, log_k_theta, log_k_nu)
         if best_val is None or better(val, best_val) == val:
             best_val, best_mu = val, candidate
-    assert best_val is not None and best_mu is not None
+    if best_val is None or best_mu is None:
+        raise InvalidDistributionError(f"none of the {trials} trials drew a kernel with a stationary law")
     best_sampled = best_val
     # Hill climb on kernel rows over the largest feasible class.
     cls = max(all_cyclic, key=len)

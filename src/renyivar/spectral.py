@@ -12,24 +12,27 @@ strongly connected components.  This module computes the class structure (by
 boolean reachability: the transitive closure of the support, grouped by
 mutual reachability), the Perron data of a class, the growth rate both
 spectrally and by brute-force matrix powers, and the maximal stationary edge
-measure supported inside the cyclic classes.
+measure supported inside the cyclic classes (from an integer circulation,
+:func:`maximal_abs_cont`).
 
-The Perron pair of a class comes from one product: repeated squaring of its
+The Perron pair of a class comes from one route: repeated squaring of its
 balanced block plus ``I``, which subtracts nothing, so small entries keep
 their relative accuracy; the row sums of the power are the right vector and
 its column sums the left one (:func:`_perron_pair`).  Blocks of one and two
-states take closed forms.  Every vector is certified by its Collatz--Wielandt
+states take closed forms.  A vector is certified by its Collatz--Wielandt
 bracket (Collatz 1942; Wielandt 1950): for a positive ``x``, the ratios
-``(B x)_i / x_i`` enclose the Perron root of ``B``, and a vector is accepted
-only when they agree to ``1e-13`` relative.  Where the bracket stalls at the
-rounding floor, a shifted power iteration certified by its eigen-residual
-(:func:`_power_iteration`) takes over.
+``(B x)_i / x_i`` enclose the Perron root of ``B``, and they must agree to
+``1e-13`` relative.  Where the bracket stalls at the rounding floor, or the
+squarings run out, the last row and column sums are accepted by their
+eigen-residual, at most ``TOL.perron_resid`` times the root for the
+unit-norm vector; a class block that meets neither bound raises
+:class:`PerronConvergenceError` after at most 46 squarings.
 
 The eigenvector twist ``u(i) M(i, j) w(j) / Z`` of a cyclic class, with
 ``u, w`` its left and right Perron vectors, is a stationary edge measure
 on the edges inside the class.  It is built in one place, :func:`_twist`,
 which serves the Markov optimizers (through
-``markov_variational._locate_and_twist``) and :func:`maximal_abs_cont`.
+``markov_variational._locate_and_twist``).
 
 Matrices produced by exponential tilts are passed around as elementwise logs
 (``-inf`` marking structural zeros); the ``*_from_log`` entry points rescale
@@ -56,9 +59,8 @@ inside the margin (see :func:`_locate_dominant`).  A skipped class is never
 balanced, so one whose max-plus walks overflow raises only when it is
 visited.
 
-Class finding on a support pattern, the dominant class of a log-matrix, the
-balancing with the Perron pair of a class block, and the left power iteration
-that stands in for a pair without a left vector are memoised on the exact
+Class finding on a support pattern, the dominant class of a log-matrix and
+the balancing with the Perron pair of a class block are memoised on the exact
 bytes of their input (:func:`renyivar.numerics.memoised`):
 the Markov certificates repeat them on the same matrices many times over.
 One layer up, the log-matrices are themselves memoised on the identities of
@@ -110,8 +112,6 @@ __all__ = [
     "maximal_abs_cont",
 ]
 
-_POWER_ITER_CAP = 10**6
-_RAYLEIGH_RTOL = 1e-14
 # The Perron pair by repeated squaring: the relative Collatz--Wielandt bracket
 # a vector must reach, the squarings before the first check and the checked
 # ones at most, and the relative move of the row sums below which a squaring
@@ -170,11 +170,12 @@ class PerronData:
     it); ``lam`` exponentiates on demand.  ``left`` and ``right`` are full
     d-vectors, zero off the class, normalized so that ``sum(right) == 1`` and
     ``dot(left, right) == 1``.  Both vectors are certified on the rescaled
-    class block: by a Collatz--Wielandt bracket of relative width at most
-    ``1e-13``, which contains the root and bounds the eigen-residual of the
-    unit-norm vector by ``1e-13`` times the root (see :func:`_perron_pair`),
-    or, where that bracket stalls at the rounding floor, by an eigen-residual
-    of the power iteration of at most ``1e-10`` relative to the root.
+    class block (see :func:`_perron_pair`): by a Collatz--Wielandt bracket of
+    relative width at most ``1e-13``, which contains the root and bounds the
+    eigen-residual of the unit-norm vector by ``1e-13`` times the root, or,
+    where that bracket stalls at the rounding floor, by an eigen-residual of
+    the unit-norm vector of at most ``TOL.perron_resid`` (``1e-10``) times
+    the root.
     """
 
     log_lam: float
@@ -233,73 +234,6 @@ def classes(m: NonnegMatrix, states: Sequence[int] | None = None) -> ClassDecomp
 def has_cycle(m: NonnegMatrix) -> bool:
     """True when the support digraph contains a directed cycle."""
     return any(classes(m).cyclic)
-
-
-def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Dominant eigenpair of an irreducible nonnegative block.
-
-    The block is shifted by ``c I`` with ``c = 1 + max diagonal entry``, which
-    makes it primitive, so plain power iteration converges.  The iterate
-    sequence is thinned eight-fold by stepping with the precomputed eighth
-    power of the shifted block (the same sequence, sampled every eighth
-    element), which cuts the step count without changing the limit.
-    Convergence is declared when successive Rayleigh quotients along the
-    thinned sequence differ by at most 1e-14 relatively; the returned pair
-    additionally satisfies an explicit eigen-residual bound on the original
-    unshifted block no looser than 1e-10 relative to the root.  Returns
-    ``(lam, vector, residual)`` for the *unshifted* block.  A block with an
-    infinite or NaN entry (a balanced block whose exponential overflowed)
-    can never certify, so it is rejected before the first step.
-    """
-    if not block.max() < math.inf:  # the max of the nonnegative block is NaN if an entry is
-        raise PerronConvergenceError(
-            "the balanced class block overflows the float range (inf or NaN entries)"
-        )
-    n = block.shape[0]
-    shift = 1.0 + float(block.diagonal().max())
-    shifted = block.copy()  # finite and >= 0, so adding c I changes the diagonal only
-    shifted.flat[:: n + 1] += shift
-    squared = shifted.dot(shifted)
-    fourth = squared.dot(squared)
-    stepper = fourth.dot(fourth)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    previous = math.inf
-    best_resid = math.inf
-    best: tuple[float, np.ndarray] | None = None
-    stable = 0
-    window_resid = math.inf
-    for _ in range(_POWER_ITER_CAP):
-        y = stepper.dot(x)
-        quotient = float(x.dot(y))
-        if abs(quotient - previous) <= _RAYLEIGH_RTOL * abs(quotient):
-            stable += 1
-            z = block.dot(x)
-            lam = float(x.dot(z))
-            residual = float(abs(z - lam * x).max())
-            if lam > 0 and residual <= best_resid:
-                best_resid = residual
-                best = (lam, x)
-            if lam > 0 and residual <= 1e-13 * lam:
-                return lam, x, residual
-            if stable % 32 == 0:
-                # Rounding floor reached: accept the best certified pair if it
-                # meets the guaranteed bound instead of burning the iteration cap.
-                if residual > 0.9 * window_resid and best is not None:
-                    if best_resid <= TOL.perron_resid * best[0]:
-                        return best[0], best[1], best_resid
-                window_resid = residual
-        else:
-            stable = 0
-        previous = quotient
-        norm = math.sqrt(float(y.dot(y)))
-        if norm == 0.0:  # impossible for an irreducible block, defensive only
-            raise PerronConvergenceError("iteration collapsed to the zero vector")
-        x = y / norm
-    if best is not None and best_resid <= TOL.perron_resid * best[0]:
-        return best[0], best[1], best_resid
-    raise PerronConvergenceError(
-        f"power iteration did not certify an eigenpair within {_POWER_ITER_CAP} iterations"
-    )
 
 
 def _tropical_balance(block_log: np.ndarray) -> tuple[float, np.ndarray]:
@@ -384,14 +318,21 @@ def _bracketed(image: np.ndarray, x: np.ndarray) -> bool:
     return _tight(min(ratios), max(ratios)) and not math.isnan(sum(ratios))
 
 
-def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+def _small_residual(image: np.ndarray, x: np.ndarray, lam: float) -> bool:
+    """True when ``image = B x`` (or ``x B``) gives the unit-norm ``x`` a residual of at most ``perron_resid lam``."""
+    return float(abs(image - lam * x).max()) <= TOL.perron_resid * lam * math.sqrt(float(x.dot(x)))
+
+
+def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The Perron pair of a 2 x 2 block ``[[a, b], [c, d]]`` in closed form, in Python floats.
 
     ``lam = (a + d) / 2 + sqrt(((a - d) / 2)^2 + b c)``; each vector takes the
     formula that subtracts nothing but the input difference ``a - d``:
     right ``(lam - d, c)`` and left ``(lam - d, b)`` when ``a >= d``, else
-    right ``(b, lam - a)`` and left ``(c, lam - a)``.  Both are checked by the
-    Collatz--Wielandt bracket like any other pair.
+    right ``(b, lam - a)`` and left ``(c, lam - a)``.  Each is certified like
+    any other vector: by its Collatz--Wielandt bracket, or where that fails
+    (an entry that underflowed in the balancing), by its eigen-residual.
+    ``None`` when one of them meets neither.
     """
     (a, b), (c, d) = block.tolist()
     half_gap = 0.5 * (a - d)
@@ -402,19 +343,21 @@ def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | 
     else:
         right, left = (b, root - half_gap), (c, root - half_gap)
 
-    def bracketed(x0: float, x1: float, y0: float, y1: float) -> bool:
-        if not min(x0, x1) > 0.0:
-            return False
-        q0, q1 = y0 / x0, y1 / x1
-        return _tight(min(q0, q1), max(q0, q1))
+    def certified(x0: float, x1: float, y0: float, y1: float) -> bool:
+        if min(x0, x1) > 0.0:
+            q0, q1 = y0 / x0, y1 / x1
+            if _tight(min(q0, q1), max(q0, q1)):
+                return True
+        return max(abs(y0 - lam * x0), abs(y1 - lam * x1)) <= TOL.perron_resid * lam * math.hypot(x0, x1)
 
-    if not bracketed(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
+    if not certified(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
         return None
-    left_ok = bracketed(*left, a * left[0] + c * left[1], b * left[0] + d * left[1])
-    return lam, np.array(right), np.array(left) if left_ok else None
+    if not certified(*left, a * left[0] + c * left[1], b * left[0] + d * left[1]):
+        return None
+    return lam, np.array(right), np.array(left)
 
 
-def _squared_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+def _squared_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The Perron pair of an irreducible nonnegative block by repeated squaring.
 
     ``P`` starts as the block plus ``I`` and is squared, which subtracts
@@ -428,18 +371,20 @@ def _squared_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | No
     entries at most one, so those of ``P`` stay below ``(n + 1)^64``.  Each
     later squaring follows a rescaling by the maximum, and checks both vectors
     by their Collatz--Wielandt brackets on the block itself, at most
-    ``_SQUARING_CAP`` times, until both are tight.  A squaring that moves no
-    row sum by more than ``_STALL_RTOL`` relatively has reached the rounding
-    floor and ends the search, with the last tight right vector alone if
-    there was one.  The root is ``l . B r / l . r``, a weighted mean of the
-    right ratios, hence inside their bracket.
+    ``_SQUARING_CAP`` times, until both are tight.  The root is
+    ``l . B r / l . r``, a weighted mean of the right ratios, hence inside
+    their bracket.  A squaring that moves no row sum by more than
+    ``_STALL_RTOL`` relatively has reached the rounding floor and ends the
+    search, as does the cap: then the last column sums, and the last
+    bracketed right vector and root or else the last row sums and their root,
+    are returned if both vectors pass :func:`_small_residual`, else ``None``.
     """
     n = block.shape[0]
     ones = np.ones(n)
     power = block + np.eye(n)
     for _ in range(_UNCHECKED_SQUARINGS):
         power = power.dot(power)
-    previous = right_only = None
+    previous = bracketed = None
     for _ in range(_SQUARING_CAP):
         power /= power.max()
         power = power.dot(power)
@@ -450,36 +395,45 @@ def _squared_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | No
             lam = float(left.dot(image)) / float(left.dot(right))
             if _bracketed(left.dot(block), left):
                 return lam, right, left
-            right_only = lam, right, None
+            bracketed = lam, right, image
         if previous is not None and (np.abs(right - previous) <= _STALL_RTOL * right).all():
             break
         previous = right
-    return right_only
+    left = ones.dot(power)
+    if bracketed is None:
+        lam = float(left.dot(image)) / float(left.dot(right))
+    else:
+        lam, right, image = bracketed
+    if _small_residual(image, right, lam) and _small_residual(left.dot(block), left, lam):
+        return lam, right, left
+    return None
 
 
-def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None] | None:
-    """A certified Perron pair ``(lam, right, left)`` of a balanced class block, or ``None``.
+def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The certified Perron pair ``(lam, right, left)`` of a balanced class block.
 
     One state is exact: ``lam`` is the entry and both vectors are ``[1]``.
     Two states take :func:`_two_state_pair`, more take
-    :func:`_squared_pair`.  The right vector is returned only when its
-    Collatz--Wielandt bracket ``[lo, hi]`` satisfies
-    ``hi - lo <= _BRACKET_RTOL lo``; the left one is checked the same way on
-    the transpose and is ``None`` where that fails.  For a unit-norm right
-    vector ``r`` and any root in the bracket this gives
-    ``max |B r - lam r| <= _BRACKET_RTOL lam``, inside ``TOL.perron_resid``.
-    ``None`` means no certified pair (a bracket that stalls at the rounding
-    floor, or an infinite or NaN entry): the caller falls back to
-    :func:`_power_iteration`.
+    :func:`_squared_pair`.  A vector is certified by its Collatz--Wielandt
+    bracket ``[lo, hi]`` with ``hi - lo <= _BRACKET_RTOL lo`` (the left one
+    on the transpose), which gives the unit-norm vector ``r`` a residual
+    ``max |B r - lam r| <= _BRACKET_RTOL lam``; where the bracket stalls, by
+    that residual bound loosened to ``TOL.perron_resid``.  A block with an
+    infinite or NaN entry, or a pair that meets neither bound, raises
+    :class:`PerronConvergenceError`.
     """
     n = block.shape[0]
     if not block.max() < math.inf:  # the max of the nonnegative block is NaN if an entry is
-        return None
+        raise PerronConvergenceError("the balanced class block overflows the float range (inf or NaN entries)")
     if n == 1:
         return float(block[0, 0]), np.ones(1), np.ones(1)
-    if n == 2:
-        return _two_state_pair(block)
-    return _squared_pair(block)
+    pair = _two_state_pair(block) if n == 2 else _squared_pair(block)
+    if pair is None:
+        raise PerronConvergenceError(
+            f"the Perron pair of a {n}-state class block meets neither its Collatz--Wielandt bracket"
+            " nor its eigen-residual bound"
+        )
+    return pair
 
 
 def _validate_cyclic_class(log_block: np.ndarray, states: Sequence[int]) -> None:
@@ -508,34 +462,13 @@ def _classes_of(support: np.ndarray) -> ClassDecomposition:
 
 
 @memoised
-def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray | None]:
-    """``(mu, pot, lam, right, left)``: balance a class block, then find its Perron pair.
-
-    The pair is :func:`_perron_pair`'s; where it certifies no right vector,
-    the right vector and root come from :func:`_power_iteration`, and
-    ``left`` is ``None`` whenever no certified left vector came with the pair
-    (see :func:`_left_step`).
-    """
+def _class_step(block_log: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray]:
+    """``(mu, pot, lam, right, left)``: balance a class block, then find its Perron pair (:func:`_perron_pair`)."""
     mu, pot = _balance(block_log)
-    block = _balanced_exp(block_log, mu, pot)
-    pair = _perron_pair(block)
-    if pair is None:
-        lam, right, _ = _power_iteration(block)
-        left = None
-    else:
-        lam, right, left = pair
+    lam, right, left = _perron_pair(_balanced_exp(block_log, mu, pot))
     for vector in (pot, right, left):
-        if vector is not None:
-            vector.flags.writeable = False
+        vector.flags.writeable = False
     return mu, pot, lam, right, left
-
-
-@memoised
-def _left_step(block_log: np.ndarray, mu: float, pot: np.ndarray) -> np.ndarray:
-    """The left vector by power iteration on the block balanced by ``(mu, pot)``, for a pair without one."""
-    _, left, _ = _power_iteration(_balanced_exp(block_log, mu, pot).T)
-    left.flags.writeable = False
-    return left
 
 
 def perron_from_log(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> PerronData:
@@ -558,8 +491,6 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
     block_log = _block(log_entries, idx)
     _validate_cyclic_class(block_log, idx)
     mu, pot, lam, right_block, left_block = _class_step(block_log)
-    if left_block is None:
-        left_block = _left_step(block_log, mu, pot)
     log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot;
     # the vectors are nonnegative, and only an entry that underflowed has log -inf
@@ -676,7 +607,7 @@ def _locate_dominant(log_entries: np.ndarray) -> tuple[int, tuple[int, ...], flo
     computed root stays inside that margin.  The bound rounds at relative
     errors near 1e-14.  The root lies in a Collatz--Wielandt bracket of
     relative width at most 1e-13, well inside the margin; only where the
-    bracket stalls at the rounding floor does the power iteration's
+    bracket stalls at the rounding floor does the last squaring's
     eigen-residual of at most ``TOL.perron_resid`` certify it, and that
     bounds its error only up to the condition number of the class's Perron
     vector, so there the margin is an assumption, not a proof.  A NaN
@@ -757,35 +688,53 @@ def compatible(m: NonnegMatrix, pair: "PairMeasure | np.ndarray") -> bool:
     return bool(np.array_equal(m.support, entries > 0))
 
 
+def _circulation(support: np.ndarray) -> np.ndarray:
+    """An integer circulation on an irreducible boolean digraph of ``n`` states that charges every edge.
+
+    Each edge ``(u, v)`` closes a walk of at most ``2n - 1`` edges: from state
+    0 to ``u`` along a breadth-first out-tree, ``u -> v``, then back to 0
+    along a breadth-first in-tree (the out-tree of the reversed digraph).  The
+    walks' summed edge counts are a circulation with every count at least one.
+    A tree edge into ``x`` is walked once for each edge leaving (in-tree:
+    entering) a state of the subtree of ``x``, so subtree sums of the degrees
+    give every count in ``O(n + E)``.
+    """
+    flow = support.astype(np.int64)  # each edge once, as the middle step of its own walk
+    for adjacent, counts in ((support, flow), (support.T, flow.T)):  # flow.T is a view: in-tree edges reversed
+        successors = [np.flatnonzero(row).tolist() for row in adjacent]
+        parent = [-1] * len(successors)
+        parent[0] = 0
+        order = [0]
+        for u in order:  # the loop also visits the states appended below
+            for v in successors[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    order.append(v)
+        load = [len(out) for out in successors]
+        for x in reversed(order[1:]):  # a subtree is summed before its parent reads it
+            load[parent[x]] += load[x]
+            counts[parent[x], x] += load[x]
+    return flow
+
+
 def maximal_abs_cont(m: NonnegMatrix) -> "PairMeasure | None":
-    """The stationary edge measure with the largest support dominated by M.
+    """A stationary edge measure with the largest support dominated by M.
 
-    Every stationary pair measure dominated by ``M`` lives on the cyclic
-    classes.  On each cyclic class this takes the eigenvector twist of the
-    class's 0/1 support block (:func:`_twist`), its Parry measure, i.e. its
-    measure of maximal entropy (Parry 1964).  As the Perron vectors are
-    positive on the class, the twist charges every edge inside it.  The
-    twists are averaged with equal weight, so each cyclic class carries mass
-    ``1 / K`` for ``K`` cyclic classes.  The support of the result is exactly
-    the union of intra-cyclic-class edges, a maximum element for the
-    absolute-continuity order.  Returns ``None`` when the support digraph is
-    acyclic (no stationary measure is dominated at all).
-
-    A Parry mass can lie below the float range (a class of Perron root ``r``
-    charges a return path of ``L`` states about ``r^-L``); then this raises
-    :class:`PerronConvergenceError` rather than return a smaller support.
-    The cost is the Perron solve's on each class: squarings of the class
-    block, cubic in its size, and the power iteration where a Parry mass is
-    too small for the bracket, slow for long sparse classes (a ring of ``d``
-    states with one chord has a gap of order ``1 / d^2``).
+    That support is the union of the edges inside the cyclic classes, a
+    maximum element for the absolute-continuity order.  Each of the ``K``
+    cyclic classes, of ``d_c`` states and ``E_c`` edges, carries its
+    :func:`_circulation` normalised to mass ``1 / K``, so each edge gets at
+    least ``1 / (K E_c (2 d_c - 1))``, whatever the class's Perron root and
+    path lengths.  ``None`` when the support digraph is acyclic.
     """
     from .markov import PairMeasure  # deferred: markov depends on this module
 
     cyclic = classes(m).cyclic_classes()
     if not cyclic:
         return None
-    log_support = safe_log(m.support)
-    accumulated = sum(_twist(log_support, cls)[0] for cls in cyclic)
-    if np.count_nonzero(accumulated) < sum(np.count_nonzero(_block(m.support, c)) for c in cyclic):
-        raise PerronConvergenceError("a Parry measure has edge masses below the float range")
-    return PairMeasure(accumulated / len(cyclic))
+    entries = np.zeros((m.d, m.d))
+    for cls in cyclic:
+        idx = np.asarray(cls)
+        flow = _circulation(_block(m.support, idx))
+        entries[idx[:, None], idx] = flow / float(flow.sum() * len(cyclic))
+    return PairMeasure(entries)

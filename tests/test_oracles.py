@@ -604,6 +604,25 @@ class TestSearchesMatchTheFrozenLoops:
             scored += type(got) is tuple
         assert scored == 40
 
+    def test_a_search_that_draws_no_candidate_says_so(self, monkeypatch):
+        # With these shapes a draw of one letter or one kernel row is often
+        # exactly zero, so a search of one or two trials can end with no
+        # candidate at all; it names its trial count in a library error.
+        monkeypatch.setattr(oracles, "_GAMMA_SHAPES", (0.0005, 0.002, 1.0))
+        rng = np.random.default_rng(23)
+        empty = {IIDVariationalProblem: 0, MarkovVariationalProblem: 0}
+        for k, problem in enumerate([*_iid_problems(rng, 60), *_markov_problems(rng, 60)]):
+            trials = int(rng.integers(1, 3))
+            try:
+                with np.errstate(invalid="ignore"):  # a solve singular in floats, short of a zero pivot
+                    random_search_extremum(problem, trials=trials, seed=k, hill_steps=0)
+            except InvalidDistributionError as exc:
+                assert str(exc).startswith(f"none of the {trials} trials drew ")
+                empty[type(problem)] += 1
+            except InputValidationError as exc:
+                assert "empty" in str(exc) or "no stationary" in str(exc)
+        assert min(empty.values()) >= 3
+
     def test_random_rows_rewind_to_the_failing_row(self):
         def built(build, seed, *args):
             rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
 import collections
 import math
-import warnings
+import time
 
 import numpy as np
 import pytest
@@ -389,27 +389,32 @@ class TestMaximalAbsCont:
                 growth_rate(NonnegMatrix(m)).raw, abs=1e-10
             )
 
-    def test_each_class_carries_its_parry_measure(self, rng):
-        # On a 0/1 support the measure of maximal entropy of a cyclic class has
-        # entropy rate log(Perron root) of the class block; with equal class
-        # shares the entropy rate of the whole measure is the mean of those.
+    @staticmethod
+    def _assert_circulation_contract(support, tau):
+        """The exact intra-class support, stationarity, mass 1/K per class, each edge >= 1/(K E_c (2 d_c + 1))."""
+        cyclic = classes(NonnegMatrix(support)).cyclic_classes()
+        expected = np.zeros(support.shape, dtype=bool)
+        for cls in cyclic:
+            expected[np.ix_(cls, cls)] = support[np.ix_(cls, cls)] > 0
+        np.testing.assert_array_equal(tau.entries > 0, expected)
+        np.testing.assert_allclose(tau.entries.sum(axis=1), tau.entries.sum(axis=0), rtol=0, atol=1e-15)
+        for cls in cyclic:
+            block = tau.entries[np.ix_(cls, cls)]
+            assert block.sum() == pytest.approx(1.0 / len(cyclic), rel=1e-14)
+            edges = np.count_nonzero(block)
+            assert block[block > 0].min() >= 1.0 / (len(cyclic) * edges * (2 * len(cls) + 1))
+
+    def test_each_class_carries_a_circulation_on_every_edge(self, rng):
         checked = 0
         for _ in range(300):
             d = int(rng.integers(1, 9))
             support = (rng.random((d, d)) < rng.uniform(0.15, 0.6)).astype(float)
             tau = maximal_abs_cont(NonnegMatrix(support))
-            cyclic = classes(NonnegMatrix(support)).cyclic_classes()
             if tau is None:
-                assert not cyclic
+                assert not has_cycle(NonnegMatrix(support))
                 continue
             checked += 1
-            conditional = tau.entries / tau.entries.sum(axis=1, keepdims=True).clip(min=1e-300)
-            on = tau.entries > 0
-            entropy_rate = -float(np.sum(tau.entries[on] * np.log(conditional[on])))
-            roots = [growth_rate(NonnegMatrix(support[np.ix_(cls, cls)])).raw for cls in cyclic]
-            assert entropy_rate == pytest.approx(np.mean(roots), abs=1e-12)
-            for cls in cyclic:
-                assert tau.entries[np.ix_(cls, cls)].sum() == pytest.approx(1.0 / len(cyclic), abs=1e-12)
+            self._assert_circulation_contract(support, tau)
         assert checked >= 200
 
     @staticmethod
@@ -423,39 +428,29 @@ class TestMaximalAbsCont:
         support[path[:-1], path[1:]] = 1.0
         return support
 
-    def test_large_sparse_classes_keep_every_edge(self):
-        # A 30-state clique with self-loops (root about 30) and a return path
-        # of 250 states: the Parry mass of the path, about 30^-251, is below
-        # the float range, but the certified Perron vectors do not resolve it
-        # relatively and stay positive there, so every edge is charged.
-        lollipop = self._with_return_path(np.ones((30, 30)), 250)
-        # A ring of 200 states with one chord: a long sparse class, whose
-        # spectral gap for the power iteration is of order 1/d^2.
-        ring = np.roll(np.eye(200), 1, axis=1)
-        ring[0, 100] = 1.0
-        for support in (lollipop, ring):
+    @pytest.mark.filterwarnings("error")
+    def test_large_sparse_classes_keep_every_edge(self, monkeypatch):
+        # Their Parry masses lie far below the float range (about 30^-251 on
+        # the return paths), or their spectral gap is of order 1/d^2 (the ring
+        # with one chord); the circulation charges every edge all the same.
+        lollipop = self._with_return_path(np.ones((30, 30)), 250)  # a 30-clique with self-loops
+        bipartite = self._with_return_path(np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((30, 30))), 250)
+        calls = _count_calls(monkeypatch, "_class_step", "_perron_pair")
+        for support in (lollipop, _ring_with_chord(200), bipartite):
+            start = time.perf_counter()
             tau = maximal_abs_cont(NonnegMatrix(support))
-            np.testing.assert_array_equal(tau.entries > 0, support > 0)
-            assert tau.entries.sum() == pytest.approx(1.0, abs=1e-12)
+            assert time.perf_counter() - start < 1.0
+            self._assert_circulation_contract(support, tau)
+        assert calls == {"_class_step": 0, "_perron_pair": 0}
 
-    def _bipartite_with_long_path(self):
-        # Two complete bipartite layers of 30 states (root 30, period 2) and a
-        # return path of 250 states: the power iteration runs long enough to
-        # resolve the path's Parry mass, about 30^-251, which underflows.
-        layers = np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((30, 30)))
-        return self._with_return_path(layers, 250)
-
-    def test_parry_mass_below_float_range_raises(self):
-        # A measure missing the path's edges would break the exact-support promise.
-        with pytest.raises(PerronConvergenceError, match="below the float range"):
-            maximal_abs_cont(NonnegMatrix(self._bipartite_with_long_path()))
-
-    def test_parry_mass_below_float_range_raises_without_warnings(self):
-        support = self._bipartite_with_long_path()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(PerronConvergenceError, match="below the float range"):
-                maximal_abs_cont(NonnegMatrix(support))
+    def test_circulation_counts_each_closed_walk(self):
+        # Two 2-cycles through state 0, plus a self-loop at 2: the out-tree and
+        # the in-tree at 0 are 0 -> 1, 0 -> 2 and 1 -> 0, 2 -> 0.  Each edge is
+        # walked once itself, an out-tree edge once per edge leaving its
+        # subtree's states, and an in-tree edge once per edge entering them.
+        support = np.array([[False, True, True], [True, False, False], [True, False, True]])
+        flow = spectral._circulation(support)
+        np.testing.assert_array_equal(flow, [[0, 2, 3], [2, 0, 0], [3, 0, 1]])
 
 
 class TestCompatible:
@@ -492,72 +487,26 @@ def _reference_max_cycle_mean(block_log):
     return float(np.max(means))
 
 
-def _reference_power_iteration(block):
-    """The shifted power iteration with ``@`` products, kept as a fixed reference."""
-    if not np.isfinite(block).all():
-        raise PerronConvergenceError("overflow")
-    n = block.shape[0]
-    shift = 1.0 + float(block.diagonal().max())
-    shifted = block.copy()
-    shifted.flat[:: n + 1] += shift
-    squared = shifted @ shifted
-    fourth = squared @ squared
-    stepper = fourth @ fourth
-    x = np.full(n, 1.0 / math.sqrt(n))
-    previous = math.inf
-    best_resid = math.inf
-    best = None
-    stable = 0
-    window_resid = math.inf
-    for _ in range(spectral._POWER_ITER_CAP):
-        y = stepper @ x
-        quotient = float(x @ y)
-        if abs(quotient - previous) <= spectral._RAYLEIGH_RTOL * abs(quotient):
-            stable += 1
-            z = block @ x
-            lam = float(x @ z)
-            residual = float(np.max(np.abs(z - lam * x)))
-            if lam > 0 and residual <= best_resid:
-                best_resid = residual
-                best = (lam, x)
-            if lam > 0 and residual <= 1e-13 * lam:
-                return lam, x, residual
-            if stable % 32 == 0:
-                if residual > 0.9 * window_resid and best is not None:
-                    if best_resid <= TOL.perron_resid * best[0]:
-                        return best[0], best[1], best_resid
-                window_resid = residual
-        else:
-            stable = 0
-        previous = quotient
-        norm = math.sqrt(float(y @ y))
-        x = y / norm
-    if best is not None and best_resid <= TOL.perron_resid * best[0]:
-        return best[0], best[1], best_resid
-    raise PerronConvergenceError("cap")
-
-
 # Every memoised step of ``spectral``: its k-th distinct small input, and how
 # many arrays its result holds.
 MEMO_USERS = {
     "_classes_of": (lambda k: np.array([(k >> b) & 1 for b in range(9)], dtype=bool).reshape(3, 3), 1),
     "_locate_dominant": (lambda k: np.array([[float(k)]]), 0),
     "_class_step": (lambda k: np.array([[float(k)]]), 3),
-    "_left_step": (lambda k: np.array([[float(k)]]), 1),
 }
-
-
-def _memo_args(name, block):
-    """The arguments of a memoised step for one input block."""
-    if name == "_left_step":  # the left iteration takes the balancing of the block
-        return (block, *spectral._balance(block))
-    return (block,)
 
 
 def _bracket_width(block, vector):
     """The relative width ``(hi - lo) / lo`` of the Collatz--Wielandt ratios of a positive vector."""
     ratios = block @ vector / vector
     return (ratios.max() - ratios.min()) / ratios.min()
+
+
+def _unit_residual(block, vector, lam):
+    """``max |B u - lam u|`` for the unit-norm ``u`` along a nonnegative vector."""
+    assert vector.min() >= 0
+    unit = vector / np.linalg.norm(vector)
+    return np.abs(block @ unit - lam * unit).max()
 
 
 def _log_bracket_width(log_entries, vector):
@@ -584,8 +533,8 @@ def _clear_memos(clear=True):
         clear_memos()
 
 
-# Its class step certifies the right vector only: the left one comes from _left_step.
-_LEFT_BY_POWER_ITERATION = np.exp([[-math.inf, -25.0, -math.inf, -36.0], [13.0, -math.inf, -24.0, 34.0],
+# Its class step brackets the right vector only: the left one is certified by its eigen-residual.
+_LEFT_BY_RESIDUAL = np.exp([[-math.inf, -25.0, -math.inf, -36.0], [13.0, -math.inf, -24.0, 34.0],
                                    [-math.inf, 0.0, -math.inf, -26.0], [-35.0, -math.inf, -math.inf, 32.0]])
 
 
@@ -633,35 +582,20 @@ class TestClassStep:
             block_log[np.arange(n), (np.arange(n) + 1) % n] = 0.0
             yield block_log
 
-    def test_power_iteration_bit_identical_to_reference(self, rng):
-        """Balanced class blocks of 1 to 70 states, C-order and transposed (as the left step)."""
-        for block_log in self._hamiltonian_blocks(rng):
-            balanced = spectral._balanced_exp(block_log, *spectral._tropical_balance(block_log))
-            for block in (balanced, balanced.T):
-                lam, vector, residual = spectral._power_iteration(block)
-                want_lam, want_vector, want_residual = _reference_power_iteration(block)
-                assert (lam.hex(), residual.hex()) == (want_lam.hex(), want_residual.hex())
-                assert vector.tobytes() == want_vector.tobytes()
-
     def test_perron_pairs_are_bracketed(self, rng):
-        """The blocks of the power-iteration pin, C-order and transposed: every vector the squaring or a
-        closed form returns has a Collatz--Wielandt bracket of at most 1e-13, and so has its residual."""
-        pairs = lefts = 0
+        """Balanced class blocks of 1 to 70 states, C-order and transposed: every right vector the squaring
+        or a closed form returns has a Collatz--Wielandt bracket of at most 1e-13, and so has its residual;
+        nearly every left vector has one too, and the rest meet their eigen-residual bound."""
+        lefts = 0
         for block_log in self._hamiltonian_blocks(rng):
             balanced = spectral._balanced_exp(block_log, *spectral._balance(block_log))
             for block in (balanced, balanced.T):
-                pair = spectral._perron_pair(block)
-                if pair is None:
-                    continue
-                pairs += 1
-                lam, right, left = pair
+                lam, right, left = spectral._perron_pair(block)
                 assert _bracket_width(block, right) <= 1e-13
-                unit = right / np.linalg.norm(right)
-                assert np.abs(block @ unit - lam * unit).max() <= 1e-13 * lam
-                if left is not None:
-                    lefts += 1
-                    assert _bracket_width(block.T, left) <= 1e-13
-        assert pairs == 400 and lefts >= 390
+                assert _unit_residual(block, right, lam) <= 1e-13 * lam
+                assert _unit_residual(block.T, left, lam) <= TOL.perron_resid * lam
+                lefts += _bracket_width(block.T, left) <= 1e-13
+        assert lefts >= 390
 
     def test_closed_forms_match_eigvals(self, rng):
         """One state is exact; two states give the root of ``np.linalg.eigvals`` and vectors it brackets."""
@@ -676,25 +610,23 @@ class TestClassStep:
             mu, pot, lam, right, left = spectral._class_step(block_log)
             block = spectral._balanced_exp(block_log, mu, pot)
             assert lam == pytest.approx(max(np.linalg.eigvals(block).real), rel=1e-14)
-            for matrix, vector in ((block, right), (block.T, left)):
-                if vector is not None:
-                    ratios = matrix @ vector / vector
-                    assert np.abs(ratios - lam).max() <= 1e-13 * lam
-            lefts += left is not None
+            assert _bracket_width(block, right) <= 1e-13
+            assert _unit_residual(block.T, left, lam) <= TOL.perron_resid * lam
+            lefts += bool(left.min() > 0) and _bracket_width(block.T, left) <= 1e-13
         assert lefts >= 290
 
     def test_large_class_is_balanced_once(self, rng, monkeypatch):
         """Above the memo bound, one class step balances the block and returns both vectors."""
-        calls = _count_calls(monkeypatch, "_class_step", "_tropical_balance", "_power_iteration")
+        calls = _count_calls(monkeypatch, "_class_step", "_tropical_balance")
         n = numerics.MEMO_MAX_STATES + 1
         data = perron_from_log(rng.uniform(-1.0, 1.0, size=(n, n)), range(n))
-        assert calls == {"_class_step": 1, "_tropical_balance": 1, "_power_iteration": 0}
+        assert calls == {"_class_step": 1, "_tropical_balance": 1}
         assert data.right.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_memo_hits_equal_recomputation(self, rng):
         """Cold and warm memos give the same bytes, interleaved with other matrices."""
         ms = [random_matrix(rng, int(rng.integers(2, 8)), density=0.6 if k % 3 else 1.0) for k in range(30)]
-        ms.append(_LEFT_BY_POWER_ITERATION)
+        ms.append(_LEFT_BY_RESIDUAL)
 
         def outputs(m, cold):
             log_m = safe_log(m)
@@ -727,7 +659,7 @@ class TestClassStep:
         _clear_memos()
         block = np.array([[0.0, 1.0], [2.0, -math.inf]])
         for _ in range(2):  # a miss, then a hit
-            arrays = arrays_in(memo(*_memo_args(name, block > -math.inf if name == "_classes_of" else block)))
+            arrays = arrays_in(memo(block > -math.inf if name == "_classes_of" else block))
             assert len(arrays) == MEMO_USERS[name][1]
             assert not any(a.flags.writeable for a in arrays)
         assert memo.cache_info().hits == 1
@@ -736,10 +668,10 @@ class TestClassStep:
     def test_memo_holds_a_bounded_number_of_small_blocks(self, name):
         memo, (make, _) = getattr(spectral, name), MEMO_USERS[name]
         _clear_memos()
-        memo(*_memo_args(name, np.zeros((numerics.MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype)))
+        memo(np.zeros((numerics.MEMO_MAX_STATES + 1,) * 2, dtype=make(0).dtype))
         assert memo.cache_info().currsize == 0
         for k in range(numerics.MEMO_ENTRIES + 5):
-            memo(*_memo_args(name, make(k)))
+            memo(make(k))
         assert memo.cache_info().currsize == numerics.MEMO_ENTRIES
 
 
@@ -915,9 +847,11 @@ class TestLocateDominant:
 
 
 # Frozen copies of the Perron and twist kernels before their numpy calls were
-# trimmed; the library's must return the same bits.  Helpers whose code did not
-# change (``_balance`` of one or two states, ``_balanced_exp``,
-# ``_two_state_pair``, ``_power_iteration``) are the library's own.
+# trimmed; the library's must return the same bits wherever the frozen pair
+# brackets both vectors.  Helpers whose code did not change (``_balance`` of
+# one or two states, ``_balanced_exp``) are the library's own.  The frozen
+# pair is ``None``, or has no left vector, where a bracket stalls; the library
+# then certifies the squaring's last vectors by their eigen-residual.
 def _frozen_tropical_balance(block_log):
     n = block_log.shape[0]
     walks = np.zeros((n + 1, n))
@@ -964,6 +898,28 @@ def _frozen_squared_pair(block):
     return right_only
 
 
+def _frozen_two_state_pair(block):
+    (a, b), (c, d) = block.tolist()
+    half_gap = 0.5 * (a - d)
+    root = math.sqrt(half_gap * half_gap + b * c)
+    lam = 0.5 * (a + d) + root
+    if half_gap >= 0.0:
+        right, left = (half_gap + root, c), (half_gap + root, b)
+    else:
+        right, left = (b, root - half_gap), (c, root - half_gap)
+
+    def bracketed(x0, x1, y0, y1):
+        if not min(x0, x1) > 0.0:
+            return False
+        q0, q1 = y0 / x0, y1 / x1
+        return spectral._tight(min(q0, q1), max(q0, q1))
+
+    if not bracketed(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
+        return None
+    left_ok = bracketed(*left, a * left[0] + c * left[1], b * left[0] + d * left[1])
+    return lam, np.array(right), np.array(left) if left_ok else None
+
+
 def _frozen_perron_pair(block):
     n = block.shape[0]
     if not block.max() < math.inf:
@@ -971,25 +927,17 @@ def _frozen_perron_pair(block):
     if n == 1:
         return float(block[0, 0]), np.ones(1), np.ones(1)
     if n == 2:
-        return spectral._two_state_pair(block)
+        return _frozen_two_state_pair(block)
     return _frozen_squared_pair(block)
 
 
 def _frozen_perron(log_entries, cls):
-    """``(log_lam, left, right)`` of a cyclic class, with the class step unrolled and unmemoised."""
+    """``(log_lam, left, right)`` of a cyclic class whose frozen pair brackets both vectors, unmemoised."""
     d = log_entries.shape[0]
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     block_log = log_entries[np.ix_(idx, idx)]
     mu, pot = spectral._balance(block_log) if idx.size <= 2 else _frozen_tropical_balance(block_log)
-    block = spectral._balanced_exp(block_log, mu, pot)
-    pair = _frozen_perron_pair(block)
-    if pair is None:
-        lam, right_block, _ = spectral._power_iteration(block)
-        left_block = None
-    else:
-        lam, right_block, left_block = pair
-    if left_block is None:
-        _, left_block, _ = spectral._power_iteration(spectral._balanced_exp(block_log, mu, pot).T)
+    lam, right_block, left_block = _frozen_perron_pair(spectral._balanced_exp(block_log, mu, pot))
     log_lam = math.log(lam) + mu
     log_right = pot + safe_log(np.abs(right_block))
     log_right -= numerics.logsumexp(log_right)
@@ -1050,35 +998,102 @@ def _library_twist(log_entries, cls):
     return entries, (data.log_lam, data.left, data.right)
 
 
-def test_trimmed_kernels_match_their_frozen_copies(rng):
-    """About 300 seeded log-matrices of 1 to 12 states, entries within +-40 or +-700, with -inf patterns.
-
-    On every cyclic class: ``_tropical_balance`` of the class block,
-    ``_perron_pair`` of its balanced block and of the transpose, ``_perron``
-    and ``_twist``, each bit for bit, cold memos for every matrix.
-    """
-    pairs, twists = collections.Counter(), 0
-    for k in range(300):
+def _kernel_pin_matrices(rng, count, scales=(700.0, 40.0)):
+    """Seeded log-matrices of 1 to 12 states, entries within +-700 or +-40 in turn, with -inf patterns."""
+    for k in range(count):
         n = k % 12 + 1
-        scale = 40.0 if k % 2 else 700.0
+        scale = scales[k % len(scales)]
         log_m = rng.uniform(-scale, scale, size=(n, n))
         log_m[rng.random((n, n)) < float(rng.uniform(0.0, 0.6))] = -math.inf
+        yield log_m
+
+
+def _assert_residual_certified(block, pair):
+    """Both vectors of a Perron pair are nonnegative and meet the eigen-residual bound on ``block``."""
+    lam, right, left = pair
+    assert _unit_residual(block, right, lam) <= TOL.perron_resid * lam
+    assert _unit_residual(block.T, left, lam) <= TOL.perron_resid * lam
+
+
+def test_trimmed_kernels_match_their_frozen_copies(rng):
+    """300 seeded log-matrices of 1 to 12 states, entries within +-40 or +-700, with -inf patterns.
+
+    On every cyclic class, ``_tropical_balance`` of the class block bit for
+    bit; on the balanced block and its transpose, ``_perron_pair`` bit for bit
+    where the frozen pair brackets both vectors, and where it does not, the
+    library's pair is certified by its eigen-residual and keeps the frozen
+    bracketed root and right vector if there are any; ``_perron`` and
+    ``_twist`` bit for bit where the frozen pair of the class brackets both
+    vectors.  Cold memos for every matrix.
+    """
+    pairs, twists = collections.Counter(), 0
+    for log_m in _kernel_pin_matrices(rng, 300):
         clear_memos()
-        dec = spectral._decompose(log_m > -math.inf, range(n))
+        dec = spectral._decompose(log_m > -math.inf, range(log_m.shape[0]))
         for cls in dec.cyclic_classes():
             block_log = log_m[np.ix_(cls, cls)]
             assert _outcome(spectral._tropical_balance, block_log) == _outcome(_frozen_tropical_balance, block_log)
             balanced = spectral._balanced_exp(block_log, *spectral._balance(block_log))
+            kinds = []
             for block in (balanced, balanced.T):
-                got = _outcome(spectral._perron_pair, block)
-                assert got == _outcome(_frozen_perron_pair, block)
-                pairs["none" if got is None else "right only" if got[2] is None else "both"] += 1
+                frozen, got = _frozen_perron_pair(block), spectral._perron_pair(block)
+                kinds.append("none" if frozen is None else "right only" if frozen[2] is None else "both")
+                pairs[kinds[-1]] += 1
+                if kinds[-1] == "both":
+                    assert _bits(got) == _bits(frozen)
+                    continue
+                _assert_residual_certified(block, got)
+                if frozen is not None:
+                    assert _bits(got[:2]) == _bits(frozen[:2])
+            if kinds[0] != "both":
+                continue
             assert _outcome(_library_perron, log_m, cls) == _outcome(_frozen_perron, log_m, cls)
             got = _outcome(_library_twist, log_m, cls)
             assert got == _outcome(_frozen_twist, log_m, cls)
             twists += len(got) == 2 and isinstance(got[1], tuple)
-    # the power iteration stands in for both vectors, and for the left one alone
     assert pairs["both"] >= 400 and pairs["none"] >= 20 and pairs["right only"] >= 20 and twists >= 150
+
+
+def test_stalled_brackets_are_certified_by_their_residual():
+    """The +-700 matrices of the kernel pin at four seeds: where a bracket stalls, the squaring's last vectors.
+
+    Each such class gets nonnegative vectors with eigen-residuals of at most
+    ``TOL.perron_resid`` times the root on its balanced block, and its twist
+    is a valid ``PairMeasure``.
+    """
+    residual_route = 0
+    for seed in range(4):
+        for log_m in _kernel_pin_matrices(np.random.default_rng(seed), 150, scales=(700.0,)):
+            dec = spectral._decompose(log_m > -math.inf, range(log_m.shape[0]))
+            for cls in dec.cyclic_classes():
+                block_log = log_m[np.ix_(cls, cls)]
+                mu, pot, lam, right, left = spectral._class_step(block_log)
+                block = spectral._balanced_exp(block_log, mu, pot)
+                if spectral._bracketed(block @ right, right) and spectral._bracketed(left @ block, left):
+                    continue
+                residual_route += 1
+                _assert_residual_certified(block, (lam, right, left))
+                PairMeasure(spectral._twist(log_m, cls)[0])
+    assert residual_route >= 200
+
+
+def _ring_with_chord(n):
+    """A ring of ``n`` states with one chord from state 0 to state ``n // 2``: one cyclic class of period ``n / 2``."""
+    ring = np.roll(np.eye(n), 1, axis=1)
+    ring[0, n // 2] = 1.0
+    return ring
+
+
+@pytest.mark.parametrize("entry_point", [lambda m: perron_from_log(m, range(m.shape[0])), growth_rate_from_log],
+                         ids=["perron", "growth"])
+def test_an_uncertified_class_fails_at_once(entry_point, monkeypatch):
+    """With one checked squaring, a 200-state ring with a chord certifies no pair, and says so within a second."""
+    monkeypatch.setattr(spectral, "_SQUARING_CAP", 1)
+    log_ring = safe_log(_ring_with_chord(200))
+    start = time.perf_counter()
+    with pytest.raises(PerronConvergenceError, match="meets neither its Collatz--Wielandt bracket"):
+        entry_point(log_ring)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bracket_fails_on_a_nan_ratio():
