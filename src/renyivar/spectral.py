@@ -19,14 +19,15 @@ The Perron pair of a class comes from one route: repeated squaring of its
 balanced block plus ``I``, which subtracts nothing, so small entries keep
 their relative accuracy; the row sums of the power are the right vector and
 its column sums the left one (:func:`_perron_pair`).  Blocks of one and two
-states take closed forms.  A vector is certified by its Collatz--Wielandt
-bracket (Collatz 1942; Wielandt 1950): for a positive ``x``, the ratios
-``(B x)_i / x_i`` enclose the Perron root of ``B``, and they must agree to
-``1e-13`` relative.  Where the bracket stalls at the rounding floor, or the
-squarings run out, the last row and column sums are accepted by their
-eigen-residual, at most ``TOL.perron_resid`` times the root for the
-unit-norm vector; a class block that meets neither bound raises
-:class:`PerronConvergenceError` after at most 46 squarings.
+states take closed forms; a two-state one that fails its bracket is squared.
+A vector is certified by its Collatz--Wielandt bracket (Collatz 1942;
+Wielandt 1950): for a positive ``x``, the ratios ``(B x)_i / x_i`` enclose
+the Perron root of ``B``, and they must agree to ``1e-13`` relative.  Where
+the bracket stalls at the rounding floor, or the squarings run out, the last
+row and column sums are accepted by their eigen-residual, at most
+``TOL.perron_resid`` times the root for the unit-norm vector; a class block
+that meets neither bound raises :class:`PerronConvergenceError` after at most
+46 squarings.
 
 The eigenvector twist ``u(i) M(i, j) w(j) / Z`` of a cyclic class, with
 ``u, w`` its left and right Perron vectors, is a stationary edge measure
@@ -319,7 +320,13 @@ def _bracketed(image: np.ndarray, x: np.ndarray) -> bool:
 
 
 def _small_residual(image: np.ndarray, x: np.ndarray, lam: float) -> bool:
-    """True when ``image = B x`` (or ``x B``) gives the unit-norm ``x`` a residual of at most ``perron_resid lam``."""
+    """True when ``image = B x`` (or ``x B``) gives the unit-norm ``x`` a residual of at most ``perron_resid lam``.
+
+    A vector whose maximum is not positive (zero, or NaN) fails: the zero
+    vector has no residual but is no eigenvector.
+    """
+    if not x.max() > 0.0:
+        return False
     return float(abs(image - lam * x).max()) <= TOL.perron_resid * lam * math.sqrt(float(x.dot(x)))
 
 
@@ -329,10 +336,8 @@ def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] |
     ``lam = (a + d) / 2 + sqrt(((a - d) / 2)^2 + b c)``; each vector takes the
     formula that subtracts nothing but the input difference ``a - d``:
     right ``(lam - d, c)`` and left ``(lam - d, b)`` when ``a >= d``, else
-    right ``(b, lam - a)`` and left ``(c, lam - a)``.  Each is certified like
-    any other vector: by its Collatz--Wielandt bracket, or where that fails
-    (an entry that underflowed in the balancing), by its eigen-residual.
-    ``None`` when one of them meets neither.
+    right ``(b, lam - a)`` and left ``(c, lam - a)``.  Both are checked by the
+    Collatz--Wielandt bracket like any other pair; ``None`` when one fails.
     """
     (a, b), (c, d) = block.tolist()
     half_gap = 0.5 * (a - d)
@@ -343,16 +348,15 @@ def _two_state_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] |
     else:
         right, left = (b, root - half_gap), (c, root - half_gap)
 
-    def certified(x0: float, x1: float, y0: float, y1: float) -> bool:
-        if min(x0, x1) > 0.0:
-            q0, q1 = y0 / x0, y1 / x1
-            if _tight(min(q0, q1), max(q0, q1)):
-                return True
-        return max(abs(y0 - lam * x0), abs(y1 - lam * x1)) <= TOL.perron_resid * lam * math.hypot(x0, x1)
+    def bracketed(x0: float, x1: float, y0: float, y1: float) -> bool:
+        if not min(x0, x1) > 0.0:
+            return False
+        q0, q1 = y0 / x0, y1 / x1
+        return _tight(min(q0, q1), max(q0, q1))
 
-    if not certified(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
+    if not bracketed(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
         return None
-    if not certified(*left, a * left[0] + c * left[1], b * left[0] + d * left[1]):
+    if not bracketed(*left, a * left[0] + c * left[1], b * left[0] + d * left[1]):
         return None
     return lam, np.array(right), np.array(left)
 
@@ -413,10 +417,11 @@ def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """The certified Perron pair ``(lam, right, left)`` of a balanced class block.
 
     One state is exact: ``lam`` is the entry and both vectors are ``[1]``.
-    Two states take :func:`_two_state_pair`, more take
-    :func:`_squared_pair`.  A vector is certified by its Collatz--Wielandt
-    bracket ``[lo, hi]`` with ``hi - lo <= _BRACKET_RTOL lo`` (the left one
-    on the transpose), which gives the unit-norm vector ``r`` a residual
+    Two states take :func:`_two_state_pair`, and :func:`_squared_pair` where
+    that fails its bracket; more states take :func:`_squared_pair`.  A vector
+    is certified by its Collatz--Wielandt bracket ``[lo, hi]`` with
+    ``hi - lo <= _BRACKET_RTOL lo`` (the left one on the transpose), which
+    gives the unit-norm vector ``r`` a residual
     ``max |B r - lam r| <= _BRACKET_RTOL lam``; where the bracket stalls, by
     that residual bound loosened to ``TOL.perron_resid``.  A block with an
     infinite or NaN entry, or a pair that meets neither bound, raises
@@ -427,7 +432,9 @@ def _perron_pair(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         raise PerronConvergenceError("the balanced class block overflows the float range (inf or NaN entries)")
     if n == 1:
         return float(block[0, 0]), np.ones(1), np.ones(1)
-    pair = _two_state_pair(block) if n == 2 else _squared_pair(block)
+    pair = _two_state_pair(block) if n == 2 else None
+    if pair is None:
+        pair = _squared_pair(block)
     if pair is None:
         raise PerronConvergenceError(
             f"the Perron pair of a {n}-state class block meets neither its Collatz--Wielandt bracket"

@@ -234,6 +234,17 @@ class TestPerron:
         want = math.exp(8.06) / (math.exp(4.58) - math.exp(-2.12))
         assert data.right[1] / data.right[0] == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("coupling", [-800.0, -390.0])
+    def test_two_states_with_a_vanishing_cycle_split_evenly(self, coupling):
+        # Equal self-loops and a 2-cycle hundreds of log units lighter: the
+        # balanced block is [[1, b], [b, 1]] with b = 0 (at -800) or b * b = 0
+        # (at -390).  The closed form then gives the zero vector or (0, 1),
+        # fails its bracket, and the squaring's symmetric sums split evenly.
+        data = perron_from_log(np.array([[0.0, coupling], [coupling, 0.0]]), (0, 1))
+        assert data.log_lam == 0.0
+        np.testing.assert_array_equal(data.right, [0.5, 0.5])
+        np.testing.assert_array_equal(data.left, [1.0, 1.0])
+
     def test_overflowing_balanced_block_fails_before_iterating(self):
         # Karp's mean of the 9e299 self-loop rounds about 3e284 low, so the
         # balanced block holds exp(+3e284) = inf: no iteration can certify it,
@@ -391,7 +402,7 @@ class TestMaximalAbsCont:
 
     @staticmethod
     def _assert_circulation_contract(support, tau):
-        """The exact intra-class support, stationarity, mass 1/K per class, each edge >= 1/(K E_c (2 d_c + 1))."""
+        """The exact intra-class support, stationarity, mass 1/K per class, each edge >= 1/(K E_c (2 d_c - 1))."""
         cyclic = classes(NonnegMatrix(support)).cyclic_classes()
         expected = np.zeros(support.shape, dtype=bool)
         for cls in cyclic:
@@ -402,7 +413,7 @@ class TestMaximalAbsCont:
             block = tau.entries[np.ix_(cls, cls)]
             assert block.sum() == pytest.approx(1.0 / len(cyclic), rel=1e-14)
             edges = np.count_nonzero(block)
-            assert block[block > 0].min() >= 1.0 / (len(cyclic) * edges * (2 * len(cls) + 1))
+            assert block[block > 0].min() >= 1.0 / (len(cyclic) * edges * (2 * len(cls) - 1))
 
     def test_each_class_carries_a_circulation_on_every_edge(self, rng):
         checked = 0
@@ -898,28 +909,6 @@ def _frozen_squared_pair(block):
     return right_only
 
 
-def _frozen_two_state_pair(block):
-    (a, b), (c, d) = block.tolist()
-    half_gap = 0.5 * (a - d)
-    root = math.sqrt(half_gap * half_gap + b * c)
-    lam = 0.5 * (a + d) + root
-    if half_gap >= 0.0:
-        right, left = (half_gap + root, c), (half_gap + root, b)
-    else:
-        right, left = (b, root - half_gap), (c, root - half_gap)
-
-    def bracketed(x0, x1, y0, y1):
-        if not min(x0, x1) > 0.0:
-            return False
-        q0, q1 = y0 / x0, y1 / x1
-        return spectral._tight(min(q0, q1), max(q0, q1))
-
-    if not bracketed(*right, a * right[0] + b * right[1], c * right[0] + d * right[1]):
-        return None
-    left_ok = bracketed(*left, a * left[0] + c * left[1], b * left[0] + d * left[1])
-    return lam, np.array(right), np.array(left) if left_ok else None
-
-
 def _frozen_perron_pair(block):
     n = block.shape[0]
     if not block.max() < math.inf:
@@ -927,7 +916,8 @@ def _frozen_perron_pair(block):
     if n == 1:
         return float(block[0, 0]), np.ones(1), np.ones(1)
     if n == 2:
-        return _frozen_two_state_pair(block)
+        # the closed form is unchanged, but now gives None where only its left vector fails the bracket
+        return spectral._two_state_pair(block)
     return _frozen_squared_pair(block)
 
 
@@ -1102,3 +1092,10 @@ def test_bracket_fails_on_a_nan_ratio():
     for image in ([math.nan, 1.0, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.nan]):
         assert not spectral._bracketed(np.array(image), x)
     assert spectral._bracketed(np.ones(3), x)
+
+
+def test_residual_fails_on_a_zero_or_nan_vector():
+    """The zero vector has a zero residual but is no eigenvector; a NaN vector has no residual."""
+    for x in (np.zeros(2), np.array([math.nan, 1.0])):
+        assert not spectral._small_residual(np.zeros(2), x, 1.0)
+    assert spectral._small_residual(np.ones(2), np.ones(2), 1.0)
