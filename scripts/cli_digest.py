@@ -26,11 +26,17 @@ search over ``nu`` and ``theta`` of different sizes.
 
 Warnings are caught and counted, not hashed: the command line silences
 floating-point warnings, which earlier trees let through.
+
+``--dump PATH`` also writes one JSON line per run, in sweep order, with the
+hashed fields by name: ``argv``, ``input``, ``exit``, ``stdout`` and
+``stderr``.  Two dumps of the same sweep match line for line, so the runs
+that changed between two trees can be listed from them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -69,6 +75,9 @@ FIELD_JUNK = (
 ENTRY_JUNK = (None, True, "0.5", -0.5, 0, 1e300, float("nan"), float("inf"), [0.5], {})
 
 SEEDS = range(14)
+
+# The names of a run's hashed values in a ``--dump`` line.
+DUMP_FIELDS = ("argv", "input", "exit", "stdout", "stderr")
 
 
 def run(main, argv: list[str], text: str) -> tuple[int | str, str, str, list[str]]:
@@ -125,6 +134,7 @@ def variants(command: str, problem: dict):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory that contains the renyivar package")
+    parser.add_argument("--dump", type=Path, help="also write each run to this file, one JSON line each")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "renyivar" / "cli.py").is_file():
@@ -138,7 +148,8 @@ def main() -> int:
     counts: Counter = Counter()
     warned = 0
     digest = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as scratch:
+    with args.dump.open("w") if args.dump else contextlib.nullcontext() as dump, \
+            tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         for seed in SEEDS:
             for command, problem in workloads.cli_valid_problems(np.random.default_rng(seed)):
@@ -149,8 +160,10 @@ def main() -> int:
                     code, out, err, caught = run(cli.main, argv, text)
                     counts[code] += 1
                     warned += bool(caught)
-                    record = json.dumps([argv, text, code, out, err])
-                    digest.update(record.encode() + b"\n")
+                    record = [argv, text, code, out, err]
+                    digest.update(json.dumps(record).encode() + b"\n")
+                    if dump is not None:
+                        dump.write(json.dumps(dict(zip(DUMP_FIELDS, record))) + "\n")
         os.chdir(ROOT)
     total = sum(counts.values())
     print(f"src: {src}")

@@ -14,12 +14,14 @@ them those that switched between a value and an error, changed an error
 message, or changed the ``class_used`` of a result (such a record's other
 fields live on another class and are not compared), or the shape or the
 zero pattern (support) of an array field, with the tags of the first few of
-each.  Then, for each field name (function and dotted field), it gives the
-number of changed records and the largest absolute and relative difference
-of the numeric entries; the relative difference of two entries is their
-absolute difference over the larger magnitude.  A field that is not
-numeric, or whose values differ in kind, counts as changed without a
-difference.
+each.  Only the fields that both records hold are compared; a field that
+one tree's results hold and the other's lack (a renamed or new field) is
+listed by name with the number of records that hold it.  Then, for each
+field name (function and dotted field), it gives the number of changed
+records and the largest absolute and relative difference of the numeric
+entries; the relative difference of two entries is their absolute
+difference over the larger magnitude.  A field that is not numeric, or
+whose values differ in kind, counts as changed without a difference.
 """
 
 from __future__ import annotations
@@ -80,27 +82,29 @@ def main() -> int:
     both = [key for key in old if key in new]
     kinds: dict[str, list] = defaultdict(list)
     per_field: dict[str, list] = defaultdict(lambda: [0, 0.0, 0.0])
+    one_sided: Counter = Counter()
     changed = 0
     for key in both:
         a, b = old[key], new[key]
-        if a == b:
+        where = f"{key[0]} {key[1]}"
+        if "error" in a or "error" in b:
+            if a != b:
+                changed += 1
+                kinds["value <-> error" if ("error" in a) != ("error" in b) else "error message"].append(where)
+            continue
+        shared = set(a["fields"]) & set(b["fields"])
+        one_sided.update(f"{key[1]}.{name} only in A" for name in set(a["fields"]) - shared)
+        one_sided.update(f"{key[1]}.{name} only in B" for name in set(b["fields"]) - shared)
+        names = sorted(name for name in shared if a["fields"][name] != b["fields"][name])
+        if not names:
             continue
         changed += 1
-        where = f"{key[0]} {key[1]}"
-        if ("error" in a) != ("error" in b):
-            kinds["value <-> error"].append(where)
-            continue
-        if "error" in a:
-            kinds["error message"].append(where)
-            continue
-        names = [name for name in sorted(set(a["fields"]) | set(b["fields"]))
-                 if a["fields"].get(name) != b["fields"].get(name)]
         if any(name.endswith("class_used") for name in names):
             # the result now lives on another class: its fields are not comparable
             kinds["class_used"].append(where)
             continue
         for name in names:
-            x, y = a["fields"].get(name), b["fields"].get(name)
+            x, y = a["fields"][name], b["fields"][name]
             stats = per_field[f"{key[1]}.{name}"]
             stats[0] += 1
             xa, ya = numeric(x), numeric(y)
@@ -118,6 +122,8 @@ def main() -> int:
     for kind in ("value <-> error", "error message", "class_used", "shape", "support"):
         found = kinds.get(kind, [])
         print(f"{kind}: {len(found)}" + "".join(f"\n    {where}" for where in found[:EXAMPLES]))
+    print(f"fields held by one side: {len(one_sided)}"
+          + "".join(f"\n    {name} ({count} records)" for name, count in sorted(one_sided.items())))
     if per_field:
         width = max(len(name) for name in per_field)
         print(f"{'field':<{width}}  {'changed':>8}  {'max abs':>9}  {'max rel':>9}")

@@ -73,6 +73,17 @@ SEARCH = {"trials": 12, "hill_steps": 3}
 SLOW_ORDERS = (-1.0, 0.5, 2.0)
 ORACLE_STEPS = 12
 LARGE_D = 128
+# Values that a result type computes on first access instead of holding as a
+# dataclass field, recorded by name after its fields.  ``PerronData`` keeps
+# its vectors as logs; older trees held ``left`` and ``right`` as fields, so
+# dumps of both compare them under one name.
+NAMED = {"Kernel": ("support_states",), "PerronData": ("left", "right")}
+
+
+def recorded(x) -> list[str]:
+    """The names a dataclass result is recorded by: its fields, then the values of ``NAMED`` it computes on access."""
+    names = [f.name for f in dataclasses.fields(x)]
+    return names + [name for name in NAMED.get(type(x).__name__, ()) if name not in names]
 
 
 def encode(x) -> bytes:
@@ -80,7 +91,7 @@ def encode(x) -> bytes:
     if isinstance(x, np.ndarray):
         return b"array(%s,%s,%s)" % (x.dtype.str.encode(), repr(x.shape).encode(), x.tobytes().hex().encode())
     if dataclasses.is_dataclass(x):
-        parts = [f.name.encode() + b"=" + encode(getattr(x, f.name)) for f in dataclasses.fields(x)]
+        parts = [name.encode() + b"=" + encode(getattr(x, name)) for name in recorded(x)]
         return type(x).__name__.encode() + b"(" + b",".join(parts) + b")"
     if isinstance(x, (tuple, list)):
         return b"[" + b",".join(encode(v) for v in x) + b"]"
@@ -96,8 +107,8 @@ def fields(x, name: str = "") -> dict:
 
     if dataclasses.is_dataclass(x):
         found: dict = {}
-        for f in dataclasses.fields(x):
-            found.update(fields(getattr(x, f.name), sub(f.name)))
+        for key in recorded(x):
+            found.update(fields(getattr(x, key), sub(key)))
         return found
     if isinstance(x, (tuple, list)) and any(dataclasses.is_dataclass(v) or isinstance(v, np.ndarray) for v in x):
         found = {}

@@ -35,7 +35,7 @@ the pair measure are identically zero, and no rate formula ever reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -124,18 +124,11 @@ class Kernel:
     """
 
     rows: np.ndarray
-    support_states: tuple[int, ...] = field(init=False)
 
-    def __getattr__(self, name: str):
-        # Reached only while ``support_states`` is unset: the states with a
-        # nonzero row, which are those of positive marginal as :func:`support`
-        # lists them (a row on the support holds an entry of at least about
-        # 1/d), built on first access and kept.
-        if name != "support_states":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        states = tuple(np.flatnonzero(self.rows.any(axis=1)).tolist())
-        object.__setattr__(self, name, states)
-        return states
+    @cached_property
+    def support_states(self) -> tuple[int, ...]:
+        """The states with a nonzero row: those of positive marginal, as :func:`support` lists them."""
+        return tuple(np.flatnonzero(self.rows.any(axis=1)).tolist())
 
 
 def support(nu: PairMeasure) -> tuple[int, ...]:

@@ -15,9 +15,9 @@ Attaining measures are *eigenvector twists*, all built by one route,
 ``_locate_and_twist``: locate the cyclic class on which a matrix ``N`` grows
 fastest (classes in smallest-state order, the first with the largest Perron
 root wins), and there form ``mu*(i, j) = u(i) M(i, j) w(j) / Z``, stationary
-for ``u, w`` the left and right Perron vectors of a matrix ``M``.  The twist
-itself is built by ``spectral._twist``.  The completion of such a twist to
-the other classes of a reducible reference measure, where the problem needs
+for ``u, w`` the left and right Perron vectors of a matrix ``M``, built from
+their logs by ``spectral._twist``.  The completion of such a twist to the
+other classes of a reducible reference measure, where the problem needs
 mass on each of them, belongs in this route, built on ``spectral._twist``.
 
 ``N = M`` is the tilted kernel matrix for the divergence rate, and
@@ -26,7 +26,7 @@ mass on each of them, belongs in this route, built on ``spectral._twist``.
 links ``(1/a) rho(N)``, ``N = [e^{a g} theta(j|i)]``, with ``(1/(a-1))
 rho([e^{(a-1) g} nu(j|i)])`` through the divergence rate, the sup side
 twisting ``M = [e^{g} theta(j|i)]``; two growth-rate identities tie that
-twist back to both ambient matrices (:func:`rho_identities_check`).
+twist back to ``N`` and to ``M`` on its class (:func:`rho_identities_check`).
 """
 
 from __future__ import annotations
@@ -105,15 +105,16 @@ class RhoIdentityReport:
     """Growth-rate identities satisfied by the twisted optimizer.
 
     With ``N = [e^{a g} theta(j|i)]``, ``M = [e^{g} theta(j|i)]`` and ``nu*``
-    the twisted measure, the report rechecks
+    the twist of ``M`` on ``N``'s dominant class ``c``, the report rechecks
 
-        rho([nu*(j|i)^a theta(j|i)^(1-a)]) = rho(N) - a rho(M)
-        rho([e^{(a-1) g} nu*(j|i)])        = rho(N) - rho(M)
+        rho([nu*(j|i)^a theta(j|i)^(1-a)]) = rho(N) - a rho_c(M)
+        rho([e^{(a-1) g} nu*(j|i)])        = rho(N) - rho_c(M)
 
-    with each growth rate taken from its own tilted matrix.  The twist and
-    the tilts are those the solvers built for the same ``g`` and ``theta``
-    objects, read from their memos where present; a memo hit gives the bits
-    a recomputation would.
+    with each left side from its own tilted matrix and ``rho_m = rho_c(M)``,
+    M's log Perron root on ``c`` (see :func:`rho_identities_check`).  The
+    twist and the tilts are those the solvers built for the same ``g`` and
+    ``theta`` objects, read from their memos where present; a memo hit gives
+    the bits a recomputation would.
     """
 
     rho_n: float
@@ -311,14 +312,20 @@ def rho_identities_check(
 
     The twist is :func:`markov_acd_sup`'s, reused when that already ran on
     the same ``g`` and ``theta`` objects at the same order (see
-    :class:`RhoIdentityReport`).
+    :class:`RhoIdentityReport`).  On the twist's class ``c``, with ``w`` and
+    ``lam_c`` the right Perron vector and root of ``M`` there, ``nu*(j|i) =
+    M(i, j) w(j) / (lam_c w(i))``.  So ``nu*^a theta^(1-a)`` and
+    ``e^{(a-1) g} nu*``, zero off ``c``, are diagonal similarities of ``N``
+    on ``c`` divided by ``lam_c^a`` and by ``lam_c``, and ``rho(N on c) =
+    rho(N)`` as ``c`` is N's dominant class.  Hence ``rho_m = log lam_c``,
+    which M's growth rate equals only when ``c`` also dominates ``M``.
     """
     a = alpha.value
     solution = markov_acd_sup(alpha, g, theta)
     nu_star = solution.optimizer
     assert nu_star is not None
     rho_n = _growth(_edge_tilt(g, theta, a)).raw
-    rho_m = _growth(_edge_tilt(g, theta, 1.0)).raw
+    rho_m = solution.perron.log_lam
     mixture_growth = _growth(_tilted_log_kernel(a, nu_star, theta)).raw
     recentred_growth = _growth(_edge_tilt(g, nu_star, a - 1.0)).raw
     mixture_drift = abs(mixture_growth - (rho_n - a * rho_m))

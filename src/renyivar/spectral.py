@@ -30,10 +30,10 @@ that meets neither bound raises :class:`PerronConvergenceError` after at most
 46 squarings.
 
 The eigenvector twist ``u(i) M(i, j) w(j) / Z`` of a cyclic class, with
-``u, w`` its left and right Perron vectors, is a stationary edge measure
-on the edges inside the class.  It is built in one place, :func:`_twist`,
-which serves the Markov optimizers (through
-``markov_variational._locate_and_twist``).
+``u, w`` its left and right Perron vectors, is a stationary edge measure on
+the edges inside the class.  It is built in one place, :func:`_twist`, from
+the logs of ``u`` and ``w`` that :class:`PerronData` keeps, and serves the
+Markov optimizers (through ``markov_variational._locate_and_twist``).
 
 Matrices produced by exponential tilts are passed around as elementwise logs
 (``-inf`` marking structural zeros); the ``*_from_log`` entry points rescale
@@ -164,29 +164,41 @@ class ClassDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PerronData:
-    """Certified dominant eigendata of one cyclic class.
+    """Certified dominant eigendata of one cyclic class, in log form.
 
     ``log_lam`` is the log of the Perron root of the matrix restricted to the
-    class (kept in log form so exponentially tilted matrices cannot overflow
-    it); ``lam`` exponentiates on demand.  ``left`` and ``right`` are full
-    d-vectors, zero off the class, normalized so that ``sum(right) == 1`` and
-    ``dot(left, right) == 1``.  Both vectors are certified on the rescaled
-    class block (see :func:`_perron_pair`): by a Collatz--Wielandt bracket of
-    relative width at most ``1e-13``, which contains the root and bounds the
-    eigen-residual of the unit-norm vector by ``1e-13`` times the root, or,
-    where that bracket stalls at the rounding floor, by an eigen-residual of
-    the unit-norm vector of at most ``TOL.perron_resid`` (``1e-10``) times
-    the root.
+    class, and ``log_left``, ``log_right`` the logs of its left and right
+    Perron vectors: read-only full d-vectors, ``-inf`` off the class,
+    normalized so that ``sum(right) == 1`` and ``dot(left, right) == 1``.
+    Logs keep exponentially tilted matrices from overflowing them; ``lam``,
+    ``left`` and ``right`` exponentiate on demand, so a vector entry beyond
+    the float range reads ``inf`` or ``0`` there.  Both vectors are
+    certified on the rescaled class block (see :func:`_perron_pair`): by a
+    Collatz--Wielandt bracket of relative width at most ``1e-13``, which
+    contains the root and bounds the eigen-residual of the unit-norm vector
+    by ``1e-13`` times the root, or, where that bracket stalls at the
+    rounding floor, by an eigen-residual of the unit-norm vector of at most
+    ``TOL.perron_resid`` (``1e-10``) times the root.
     """
 
     log_lam: float
-    left: np.ndarray
-    right: np.ndarray
+    log_left: np.ndarray
+    log_right: np.ndarray
     class_index: int
 
     @property
     def lam(self) -> float:
         return math.exp(self.log_lam)
+
+    @property
+    @np.errstate(over="ignore")
+    def left(self) -> np.ndarray:
+        return np.exp(self.log_left)
+
+    @property
+    @np.errstate(over="ignore")
+    def right(self) -> np.ndarray:
+        return np.exp(self.log_right)
 
 
 def _decompose(support: np.ndarray, nodes: Sequence[int]) -> ClassDecomposition:
@@ -498,7 +510,6 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
     block_log = _block(log_entries, idx)
     _validate_cyclic_class(block_log, idx)
     mu, pot, lam, right_block, left_block = _class_step(block_log)
-    log_lam = math.log(lam) + mu
     # undo the balancing in log space: right picks up +pot, left picks up -pot;
     # the vectors are nonnegative, and only an entry that underflowed has log -inf
     with np.errstate(divide="ignore"):
@@ -506,13 +517,10 @@ def _perron(log_entries: np.ndarray, cls: Sequence[int], class_index: int) -> Pe
         log_left = -pot + np.log(left_block)
     log_right -= logsumexp(log_right)
     log_left -= logsumexp(log_left + log_right)
-    right = np.zeros(d)
-    left = np.zeros(d)
-    right[idx] = np.exp(log_right)
-    left[idx] = np.exp(log_left)
-    right.flags.writeable = False
-    left.flags.writeable = False
-    return PerronData(log_lam=log_lam, left=left, right=right, class_index=class_index)
+    full = np.full((2, d), -math.inf)  # rows: the full log vectors, -inf off the class
+    full[:, idx] = log_left, log_right
+    full.flags.writeable = False
+    return PerronData(math.log(lam) + mu, full[0], full[1], class_index)
 
 
 def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) -> tuple[np.ndarray, PerronData]:
@@ -520,24 +528,16 @@ def _twist(log_entries: np.ndarray, cls: Sequence[int], class_index: int = 0) ->
 
     For ``M = exp(log_entries)`` with Perron vectors ``u, w`` on ``cls``, the
     twist is ``u(i) M(i, j) w(j) / Z``, of total mass one: a stationary edge
-    measure on the edges of ``M`` inside the class, of which those with a
-    mass below the float range get zero.  It is returned as a full d x d
+    measure on the edges of ``M`` inside the class.  Its log weights are
+    formed from the logs of :class:`PerronData` and normalised before they
+    are exponentiated, so no mass exceeds one, and only a mass below the
+    float range is lost (it gets zero).  It is returned as a full d x d
     array, zero off the class block.
     """
     data = _perron(log_entries, cls, class_index)
-    idx = np.asarray(cls, dtype=int)
-    block = _block(log_entries, idx)
-    with np.errstate(divide="ignore"):  # an underflowed Perron entry is caught below
-        log_u = np.log(data.left[idx])
-        log_w = np.log(data.right[idx])
-    log_weights = log_u[:, None] + block + log_w[None, :]
+    log_weights = data.log_left[:, None] + log_entries + data.log_right  # -inf off the class's edges
     log_weights -= logsumexp(log_weights)
-    sub = np.exp(log_weights, out=log_weights)  # exp(-inf) = 0 off the class's edges
-    if not sub.max() < math.inf:  # the max of the nonnegative weights is NaN if one is
-        raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
-    entries = np.zeros_like(log_entries)
-    entries[idx[:, None], idx] = sub
-    return entries, data
+    return np.exp(log_weights, out=log_weights), data
 
 
 def perron(m: NonnegMatrix, cls: Sequence[int], class_index: int = 0) -> PerronData:

@@ -88,6 +88,48 @@ class TestNonGoldenCommands:
         assert json.loads(out)["results"]["seed"] == 9
 
 
+# Valid problems from the CLI digest sweep, each with one entry of 1e300.
+PERRON_BEYOND_FLOATS = [
+    {
+        "alpha": -3.0,
+        "nu": [
+            [1e+300, 0.007188449556998486, 0.3749452899510554],
+            [0.015665451745408412, 0.0007263524457197888, 0.01614249305811887],
+            [0.3664682877626455, 0.02461949524652879, 0.09273472770212356],
+        ],
+        "theta": [
+            [0.10672060937056332, 0.18461417281867873, 0.07862553278124411],
+            [0.13626835142618587, 0.11635396439558547, 0.07623015474736397],
+            [0.12697135417373692, 0.02788433335487113, 0.14633152693177037],
+        ],
+    },
+    {
+        "alpha": 5.0,
+        "nu": [
+            [0.1401854889607946, 0.23025823031214598],
+            [0.23025823031214604, 0.39929805041491334],
+        ],
+        "theta": [
+            [1e+300, 0.03596375161207698],
+            [0.03596375161207698, 0.9112803077375873],
+        ],
+    },
+    {
+        "alpha": 5.0,
+        "nu": [
+            [0.18693311220197542, 0.03791964046417746, 0.09634660095084792],
+            [0.04632341600886789, 0.018187245635793825, 0.06810583758541344],
+            [0.08794282540615746, 0.07650961313010389, 0.3817317086166627],
+        ],
+        "theta": [
+            [1e+300, 0.10225233535641103, 0.0407218737508448],
+            [0.06319512535071632, 0.12850183209608193, 0.1336149869455737],
+            [0.07977908375653947, 0.09455777693987905, 0.04441344797586904],
+        ],
+    },
+]
+
+
 class TestExitCodes:
     def test_exit_one_on_failed_certification(self):
         code, out, err = run_cli("solve", str(DATA / "solve_iid.json"), "--tol", "1e-30")
@@ -216,6 +258,18 @@ class TestExitCodes:
         code, out, err = run_contained(["solve", str(problem)])
         assert code == 0 and err == ""
         assert json.loads(out)["results"]["value"] == 1e300
+
+    @pytest.mark.parametrize("problem", PERRON_BEYOND_FLOATS, ids=["a=-3 d=3", "a=5 d=2", "a=5 d=3"])
+    def test_certified_where_the_perron_vectors_leave_the_float_range(self, tmp_path, problem):
+        # A 1e300 entry tilts the Perron vectors past the largest double; the
+        # twist is built from their logs, so it is still formed and certified
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "markov_variational", **problem}))
+        code, out, err = run_contained(["solve", str(path)])
+        assert code == 0 and err == ""
+        certificate = json.loads(out)
+        assert certificate["pass"] is True
+        assert certificate["results"]["residual"] <= 1e-8
 
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

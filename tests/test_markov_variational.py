@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from renyivar import (
     EdgeFn,
     InfeasiblePointError,
     PairMeasure,
-    PerronConvergenceError,
     certify_markov_acd,
     certify_markov_inequality,
     markov_acd_inf,
@@ -22,8 +22,9 @@ from renyivar import (
     varadhan_solve,
 )
 from renyivar import markov, markov_variational, numerics
+from renyivar.config import TOL
 from renyivar.markov import _tilted_log_kernel
-from renyivar.spectral import dominant_class, growth_rate_from_log
+from renyivar.spectral import dominant_class, growth_rate_from_log, perron_from_log
 from conftest import ALPHA_GRID, arrays_in, clear_memos, feasible_edge_mask, random_pair, random_pair_on
 
 FAIR_COIN = PairMeasure([[0.25, 0.25], [0.25, 0.25]])
@@ -98,15 +99,37 @@ class TestSolveMarkovVariational:
         want[winner, winner] = 1.0
         np.testing.assert_allclose(sol.optimizer.entries, want, atol=1e-12)
 
-    def test_twist_out_of_float_range_is_named(self):
+    @pytest.mark.filterwarnings("error")
+    def test_twist_beyond_the_float_range_is_certified(self):
         # A valid pair measure whose order-4 tilt pushes the left Perron vector
-        # past the largest double and the right one to zero: the twist cannot be
-        # formed, and the error names the Perron vectors, not the input measure.
+        # past the largest double and the right one to zero.  The twist is built
+        # from their logs, so it is formed and certified; its two self-loop
+        # masses, about 1e-450 of the others, underflow to zero.
         nu = PairMeasure([[1e300, 1.0], [1.0, 1.0]])
         th = PairMeasure(np.full((2, 2), 0.25))
-        with np.errstate(all="ignore"):
-            with pytest.raises(PerronConvergenceError, match="Perron vectors of class .* leave the float range"):
-                solve_markov_variational(Alpha(-3.0), nu, th)
+        sol = solve_markov_variational(Alpha(-3.0), nu, th)
+        # The tilted matrix has entries below one on its diagonal, and 2^-4 (1e300 + 1)^3
+        # and 1/2 off it, so its log root is half the sum of the off-diagonal logs,
+        # far below an ulp; the rate divides it by 4 * 3.
+        want = (5.0 * math.log(0.5) + 3.0 * math.log(1e300)) / 2.0 / 12.0
+        assert sol.value.raw == pytest.approx(want, rel=1e-14)
+        assert sol.residual <= TOL.attainment_markov
+        np.testing.assert_array_equal(PairMeasure(sol.optimizer.entries).entries, [[0.0, 0.5], [0.5, 0.0]])
+        assert np.isfinite(sol.perron.log_left).all() and np.isfinite(sol.perron.log_right).all()
+        assert sol.perron.left[1] == math.inf and sol.perron.right[1] == 0.0  # read without a warning
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_orders_certify(self, rng):
+        """At |a| = 1e3, 1e4 and 1e6, dense pairs of 2 to 5 states get certified twists, with no warning."""
+        start = time.perf_counter()
+        for a in (1e3, -1e3, 1e4, -1e4, 1e6, -1e6):
+            for d in (2, 3, 4, 5):
+                for _ in range(20):
+                    nu, th = random_pair(rng, d), random_pair(rng, d)
+                    sol = solve_markov_variational(Alpha(a), nu, th)
+                    assert sol.value.raw == pytest.approx(renyi_rate(Alpha(a), nu, th).raw, rel=1e-12)
+                    assert sol.residual <= TOL.attainment_markov  # the optimizer passed PairMeasure's checks
+        assert time.perf_counter() - start < 5.0
 
     def test_tied_disjoint_classes_pick_the_first(self, rng):
         # One 2-state chain copied onto states {0, 2} and {1, 3}: every class root ties.
@@ -293,6 +316,34 @@ class TestMarkovACD:
                 assert report.passed
                 assert abs(report.mixture_drift) <= 1e-8
                 assert abs(report.recentred_drift) <= 1e-8
+
+    def test_rho_identities_read_m_on_the_twist_class(self, rng):
+        """The identities hold with M's root on N's class where M's growth rate lives on another class.
+
+        theta has classes {0}, {1, 2} and {3}, and g is drawn until
+        M = [e^g theta(j|i)] grows fastest on another class than
+        N = [e^{a g} theta(j|i)].
+        """
+        for a in (0.5, 2.0, 5.0, -1.0):
+            found = 0
+            while found < 3:
+                entries = np.zeros((4, 4))
+                entries[1:3, 1:3] = random_pair(rng, 2).entries
+                entries[[0, 3], [0, 3]] = rng.uniform(0.1, 1.0, size=2)
+                theta = PairMeasure(entries)
+                g = EdgeFn(rng.uniform(-2.0, 2.0, size=(4, 4)))
+                rows = markov.kernel(theta).rows
+                with np.errstate(divide="ignore"):
+                    log_m = np.where(rows > 0, g.values + np.log(rows), -math.inf)
+                cls = markov_acd_sup(Alpha(a), g, theta).class_used
+                m_class = dominant_class(log_m)
+                if m_class[1] == cls:
+                    continue
+                found += 1
+                report = rho_identities_check(Alpha(a), g, theta)
+                assert report.passed
+                assert report.rho_m == perron_from_log(log_m, cls).log_lam
+                assert report.rho_m < m_class[2]  # the growth rate of M is another class's root
 
     def test_certify_at_optimizer(self, rng):
         for a in (2.0, 0.5, -1.0):

@@ -651,8 +651,8 @@ class TestClassStep:
             _clear_memos(cold)
             data = perron_from_log(log_m, located[1], located[0])
             index, states, root = located
-            return found, (index, states, root.hex(), data.log_lam.hex(), data.left.tobytes(),
-                           data.right.tobytes(), data)
+            return found, (index, states, root.hex(), data.log_lam.hex(), data.log_left.tobytes(),
+                           data.log_right.tobytes(), data)
 
         cold = [outputs(m, cold=True) for m in ms]
         warm = [outputs(m, cold=False) for m in ms + ms[::-1]]
@@ -662,7 +662,7 @@ class TestClassStep:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[:6] == want[:6]
-                assert not got[6].left.flags.writeable and not got[6].right.flags.writeable
+                assert not got[6].log_left.flags.writeable and not got[6].log_right.flags.writeable
 
     @pytest.mark.parametrize("name", MEMO_USERS)
     def test_memo_returns_read_only_arrays(self, name):
@@ -862,7 +862,9 @@ class TestLocateDominant:
 # brackets both vectors.  Helpers whose code did not change (``_balance`` of
 # one or two states, ``_balanced_exp``) are the library's own.  The frozen
 # pair is ``None``, or has no left vector, where a bracket stalls; the library
-# then certifies the squaring's last vectors by their eigen-residual.
+# then certifies the squaring's last vectors by their eigen-residual.  The
+# twist is pinned against a reference built from the frozen Perron logs, and
+# compared with the twist that took the logs of the linear vectors again.
 def _frozen_tropical_balance(block_log):
     n = block_log.shape[0]
     walks = np.zeros((n + 1, n))
@@ -922,7 +924,12 @@ def _frozen_perron_pair(block):
 
 
 def _frozen_perron(log_entries, cls):
-    """``(log_lam, left, right)`` of a cyclic class whose frozen pair brackets both vectors, unmemoised."""
+    """``(log_lam, left, right, log_left, log_right)`` of a cyclic class whose frozen pair brackets both vectors.
+
+    Unmemoised.  The linear vectors are computed as before the Perron data
+    kept logs; the logs are the same block logs, scattered into full vectors
+    that are ``-inf`` off the class.
+    """
     d = log_entries.shape[0]
     idx = np.asarray(sorted(int(i) for i in cls), dtype=int)
     block_log = log_entries[np.ix_(idx, idx)]
@@ -935,13 +942,25 @@ def _frozen_perron(log_entries, cls):
     log_left -= numerics.logsumexp(log_left + log_right)
     right = np.zeros(d)
     left = np.zeros(d)
-    right[idx] = np.exp(log_right)
-    left[idx] = np.exp(log_left)
-    return log_lam, left, right
+    with np.errstate(over="ignore"):
+        right[idx] = np.exp(log_right)
+        left[idx] = np.exp(log_left)
+    full_left, full_right = np.full(d, -math.inf), np.full(d, -math.inf)
+    full_left[idx], full_right[idx] = log_left, log_right
+    return log_lam, left, right, full_left, full_right
 
 
 def _frozen_twist(log_entries, cls):
-    log_lam, left, right = _frozen_perron(log_entries, cls)
+    """The twist from the frozen Perron logs, the reference the library's ``_twist`` must match bit for bit."""
+    perron = _frozen_perron(log_entries, cls)
+    log_left, log_right = perron[3:]
+    log_weights = log_left[:, None] + log_entries + log_right[None, :]  # -inf off the class block
+    return np.exp(log_weights - numerics.logsumexp(log_weights)), perron
+
+
+def _round_trip_twist(log_entries, cls):
+    """The twist as it was built from the linear Perron vectors, by taking their logs again."""
+    log_lam, left, right = _frozen_perron(log_entries, cls)[:3]
     idx = np.asarray(cls, dtype=int)
     block = log_entries[np.ix_(idx, idx)]
     with np.errstate(divide="ignore"):
@@ -956,7 +975,7 @@ def _frozen_twist(log_entries, cls):
     if not np.isfinite(sub).all():
         raise PerronConvergenceError(f"the Perron vectors of class {cls} leave the float range")
     entries[np.ix_(idx, idx)] = sub
-    return entries, (log_lam, left, right)
+    return entries
 
 
 def _bits(result):
@@ -978,14 +997,17 @@ def _outcome(kernel, *args):
         return type(exc).__name__, str(exc)
 
 
+def _perron_fields(data):
+    return data.log_lam, data.left, data.right, data.log_left, data.log_right
+
+
 def _library_perron(log_entries, cls):
-    data = spectral._perron(log_entries, cls, 0)
-    return data.log_lam, data.left, data.right
+    return _perron_fields(spectral._perron(log_entries, cls, 0))
 
 
 def _library_twist(log_entries, cls):
     entries, data = spectral._twist(log_entries, cls)
-    return entries, (data.log_lam, data.left, data.right)
+    return entries, _perron_fields(data)
 
 
 def _kernel_pin_matrices(rng, count, scales=(700.0, 40.0)):
@@ -1012,11 +1034,15 @@ def test_trimmed_kernels_match_their_frozen_copies(rng):
     bit; on the balanced block and its transpose, ``_perron_pair`` bit for bit
     where the frozen pair brackets both vectors, and where it does not, the
     library's pair is certified by its eigen-residual and keeps the frozen
-    bracketed root and right vector if there are any; ``_perron`` and
-    ``_twist`` bit for bit where the frozen pair of the class brackets both
-    vectors.  Cold memos for every matrix.
+    bracketed root and right vector if there are any; ``_perron`` (linear
+    and log vectors) and ``_twist`` (against the reference from the frozen
+    logs) bit for bit where the frozen pair of the class brackets both
+    vectors.  There, wherever the round-trip twist stays in the float range,
+    the twist's support contains the round trip's, and every mass of at
+    least 1e-15 agrees with it within 2e-13 relative.  Cold memos for every
+    matrix.
     """
-    pairs, twists = collections.Counter(), 0
+    pairs, twists, gained = collections.Counter(), 0, 0
     for log_m in _kernel_pin_matrices(rng, 300):
         clear_memos()
         dec = spectral._decompose(log_m > -math.inf, range(log_m.shape[0]))
@@ -1040,8 +1066,20 @@ def test_trimmed_kernels_match_their_frozen_copies(rng):
             assert _outcome(_library_perron, log_m, cls) == _outcome(_frozen_perron, log_m, cls)
             got = _outcome(_library_twist, log_m, cls)
             assert got == _outcome(_frozen_twist, log_m, cls)
-            twists += len(got) == 2 and isinstance(got[1], tuple)
+            if not (len(got) == 2 and isinstance(got[1], tuple)):
+                continue  # the class raised, the same error on both sides
+            twists += 1
+            new = spectral._twist(log_m, cls)[0]
+            try:
+                old = _round_trip_twist(log_m, cls)
+            except PerronConvergenceError:
+                continue  # the round trip left the float range
+            assert not (old.astype(bool) & (new == 0)).any()
+            large = old >= 1e-15
+            np.testing.assert_allclose(new[large], old[large], rtol=2e-13, atol=0)
+            gained += bool((new.astype(bool) & (old == 0)).any())
     assert pairs["both"] >= 400 and pairs["none"] >= 20 and pairs["right only"] >= 20 and twists >= 150
+    assert gained >= 1  # classes with masses that the round trip had lost to underflow
 
 
 def test_stalled_brackets_are_certified_by_their_residual():
